@@ -5,13 +5,13 @@ export CARGO_NET_OFFLINE=true
 cargo build --release --workspace --all-targets
 cargo test -q --workspace
 cargo test -q --workspace --features dmasan-strict
-# Lint, split like the workflow: the fast style pass first (cheap,
-# pre-commit-friendly), then the full pass (interprocedural protocol
-# typestate checker, device-taint, lock-order, unsafe audit, dead-waiver)
-# with the machine-readable report artifact. The full pass carries a
-# wall-clock budget: if the summary/taint machinery ever makes the lint
-# slow enough to discourage running it, that is a CI failure, not a
-# shrug.
+# Lint, split like the workflow: the fast style + manifest pass first
+# (cheap, pre-commit-friendly), then the full pass (DMA protocol rules
+# the move-only handles cannot express, device-taint over the call graph,
+# lock-order, dead-waiver) with the machine-readable report artifact. The
+# full pass carries a wall-clock budget: if the call-graph/taint
+# machinery ever makes the lint slow enough to discourage running it,
+# that is a CI failure, not a shrug.
 cargo run -q --bin lint -- --fast
 cargo run -q --bin lint -- --json target/lint_report.json --budget-ms 60000
 # Bounded model checking: prove the strict strategies hold the protection

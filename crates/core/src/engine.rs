@@ -389,10 +389,11 @@ mod tests {
             .map(&mut r.ctx, buf, DmaDirection::FromDevice)
             .unwrap();
         r.bus.write(DEV, m.iova.get(), &vec![1u8; 1500]).unwrap();
+        let iova = m.iova;
         r.eng.unmap(&mut r.ctx, m).unwrap();
         let os_after = r.mem.read_vec(buf.pa, 1500).unwrap();
         // Late device write to the (still-mapped) shadow succeeds...
-        r.bus.write(DEV, m.iova.get(), &vec![9u8; 1500]).unwrap();
+        r.bus.write(DEV, iova.get(), &vec![9u8; 1500]).unwrap();
         // ...but the OS buffer is unaffected.
         assert_eq!(r.mem.read_vec(buf.pa, 1500).unwrap(), os_after);
     }
@@ -511,8 +512,9 @@ mod tests {
         let c = r.eng.alloc_coherent(&mut r.ctx, 4096 * 3).unwrap();
         r.bus.write(DEV, c.iova.get(), b"descriptor ring").unwrap();
         assert_eq!(r.mem.read_vec(c.pa, 15).unwrap(), b"descriptor ring");
+        let iova = c.iova;
         r.eng.free_coherent(&mut r.ctx, c).unwrap();
-        assert!(r.bus.write(DEV, c.iova.get(), b"x").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"x").is_err());
     }
 
     #[test]

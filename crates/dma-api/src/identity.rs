@@ -274,11 +274,12 @@ mod tests {
         assert_eq!(m.iova.get(), buf.pa.get(), "identity IOVA");
 
         r.bus.write(DEV, m.iova.get(), &vec![0xabu8; 1500]).unwrap();
+        let iova = m.iova;
         eng.unmap(&mut r.ctx, m).unwrap();
         assert_eq!(r.mem.read_vec(buf.pa, 1500).unwrap(), vec![0xab; 1500]);
 
         // Strictly blocked after unmap.
-        assert!(r.bus.write(DEV, m.iova.get(), b"late").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"late").is_err());
     }
 
     #[test]
@@ -311,6 +312,7 @@ mod tests {
             .unwrap();
         // Device touches the buffer: IOTLB warm.
         r.bus.write(DEV, m.iova.get(), b"packet").unwrap();
+        let iova = m.iova;
         eng.unmap(&mut r.ctx, m).unwrap();
         assert_eq!(
             r.ctx.breakdown.get(Phase::InvalidateIotlb),
@@ -318,12 +320,12 @@ mod tests {
         );
 
         // VULNERABILITY WINDOW: the device can still write the buffer.
-        assert!(r.bus.write(DEV, m.iova.get(), b"attack").is_ok());
+        assert!(r.bus.write(DEV, iova.get(), b"attack").is_ok());
         assert_eq!(eng.flusher().unwrap().pending(), 1);
 
         // After the deferred flush the window closes.
         eng.flush_deferred(&mut r.ctx);
-        assert!(r.bus.write(DEV, m.iova.get(), b"late").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"late").is_err());
         assert_eq!(eng.flusher().unwrap().pending(), 0);
     }
 
@@ -442,9 +444,10 @@ mod tests {
         let c = eng.alloc_coherent(&mut r.ctx, 8192).unwrap();
         assert_eq!(c.iova.get(), c.pa.get());
         r.bus.write(DEV, c.iova.get(), b"descriptor").unwrap();
+        let iova = c.iova;
         eng.free_coherent(&mut r.ctx, c).unwrap();
         // Even under the deferred engine, coherent free is strict.
-        assert!(r.bus.write(DEV, c.iova.get(), b"x").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"x").is_err());
     }
 
     #[test]

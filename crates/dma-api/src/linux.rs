@@ -301,9 +301,10 @@ mod tests {
         assert_ne!(m.iova.get(), buf.pa.get());
 
         r.bus.write(DEV, m.iova.get(), &vec![0x11u8; 1500]).unwrap();
+        let iova = m.iova;
         eng.unmap(&mut r.ctx, m).unwrap();
         assert_eq!(r.mem.read_vec(buf.pa, 1500).unwrap(), vec![0x11; 1500]);
-        assert!(r.bus.write(DEV, m.iova.get(), b"late").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"late").is_err());
     }
 
     #[test]
@@ -332,15 +333,16 @@ mod tests {
         let buf = DmaBuf::new(pfn.base(), 1500);
         let m = eng.map(&mut r.ctx, buf, DmaDirection::FromDevice).unwrap();
         r.bus.write(DEV, m.iova.get(), b"warm").unwrap();
+        let iova = m.iova;
         eng.unmap(&mut r.ctx, m).unwrap();
         // Window open: stale IOTLB entry still works.
-        assert!(r.bus.write(DEV, m.iova.get(), b"attack").is_ok());
+        assert!(r.bus.write(DEV, iova.get(), b"attack").is_ok());
         eng.flush_deferred(&mut r.ctx);
-        assert!(r.bus.write(DEV, m.iova.get(), b"late").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"late").is_err());
         // After the flush the IOVA range is reusable: map again and we may
         // get the same range back.
         let m2 = eng.map(&mut r.ctx, buf, DmaDirection::FromDevice).unwrap();
-        assert_eq!(m2.iova, m.iova, "IOVA recycled only after flush");
+        assert_eq!(m2.iova, iova, "IOVA recycled only after flush");
         eng.unmap(&mut r.ctx, m2).unwrap();
         eng.flush_deferred(&mut r.ctx);
     }
@@ -352,11 +354,12 @@ mod tests {
         let pfn = r.mem.alloc_frames(NumaDomain(0), 2).unwrap();
         let buf = DmaBuf::new(pfn.base(), 64);
         let m1 = eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
+        let m1_iova = m1.iova;
         eng.unmap(&mut r.ctx, m1).unwrap();
         // Next map must NOT reuse the pending IOVA.
         let buf2 = DmaBuf::new(pfn.base().add(4096), 64);
         let m2 = eng.map(&mut r.ctx, buf2, DmaDirection::ToDevice).unwrap();
-        assert_ne!(m2.iova.page(), m1.iova.page());
+        assert_ne!(m2.iova.page(), m1_iova.page());
         eng.unmap(&mut r.ctx, m2).unwrap();
         eng.flush_deferred(&mut r.ctx);
     }
@@ -434,8 +437,9 @@ mod tests {
         let c = eng.alloc_coherent(&mut r.ctx, 16384).unwrap();
         assert_eq!(c.pages, 4);
         r.bus.write(DEV, c.iova.get(), b"ring entry").unwrap();
+        let iova = c.iova;
         eng.free_coherent(&mut r.ctx, c).unwrap();
-        assert!(r.bus.write(DEV, c.iova.get(), b"x").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"x").is_err());
     }
 
     #[test]
@@ -502,7 +506,8 @@ mod tests {
         // Functionally identical: strict blocking after unmap.
         let m = eng.map(&mut r.ctx, buf, DmaDirection::FromDevice).unwrap();
         r.bus.write(DEV, m.iova.get(), b"warm").unwrap();
+        let iova = m.iova;
         eng.unmap(&mut r.ctx, m).unwrap();
-        assert!(r.bus.write(DEV, m.iova.get(), b"x").is_err());
+        assert!(r.bus.write(DEV, iova.get(), b"x").is_err());
     }
 }

@@ -158,9 +158,10 @@ mod tests {
             )
             .unwrap();
         bus.write(DEV, m.iova.get(), b"warm the iotlb").unwrap();
+        let iova = m.iova;
         eng.unmap(&mut ctx, m).unwrap();
         // Strict: blocked immediately...
-        assert!(bus.write(DEV, m.iova.get(), b"late").is_err());
+        assert!(bus.write(DEV, iova.get(), b"late").is_err());
         // ...yet the CPU never waited on an invalidation.
         assert_eq!(ctx.breakdown.get(Phase::InvalidateIotlb), Cycles::ZERO);
         assert_eq!(mmu.invalq().stats().page_commands, 0);

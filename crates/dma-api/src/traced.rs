@@ -213,13 +213,14 @@ mod tests {
         let (mem, obs, eng, mut ctx) = rig();
         let buf = DmaBuf::new(mem.alloc_frame(NumaDomain(0)).unwrap().base(), 999);
         let m = eng.map(&mut ctx, buf, DmaDirection::ToDevice).unwrap();
+        let iova = m.iova;
         eng.unmap(&mut ctx, m).unwrap();
         let evs = obs.tracer().events();
         assert_eq!(evs.len(), 2);
         assert_eq!(
             evs[0].kind,
             EventKind::DmaMap {
-                iova: m.iova.get(),
+                iova: iova.get(),
                 len: 999,
                 dir: "to_device".into(),
             }
@@ -227,7 +228,7 @@ mod tests {
         assert_eq!(
             evs[1].kind,
             EventKind::DmaUnmap {
-                iova: m.iova.get(),
+                iova: iova.get(),
                 len: 999,
             }
         );

@@ -79,12 +79,140 @@ impl DmaBuf {
     }
 }
 
-/// A live DMA mapping returned by `dma_map`; the token `dma_unmap` takes.
+/// A live DMA mapping returned by `dma_map`: the ownership token for the
+/// device's access right, which goes back at `dma_unmap` (§2.2).
 ///
 /// Mirrors the information a Linux driver passes to `dma_unmap_single`
 /// (IOVA, size, direction); `os_pa` additionally records the OS buffer so
 /// engines can verify their reverse lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The handle is move-only (neither `Clone` nor `Copy`) and `#[must_use]`:
+/// [`crate::DmaEngine::unmap`] and [`crate::DmaEngine::unmap_sg`] consume
+/// it, so the compiler rejects every use of a mapping after it is unmapped
+/// (E0382). A caller that needs the device address afterwards — an attack
+/// replay, a test probing the retired IOVA — copies the [`Iova`] out first.
+///
+/// Reading a field after `unmap` does not compile:
+///
+/// ```compile_fail,E0382
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let pa = mem.alloc_frame(NumaDomain(0))?.base();
+/// let m = engine.map(&mut ctx, DmaBuf::new(pa, 64), DmaDirection::ToDevice)?;
+/// let iova = m.iova;
+/// engine.unmap(&mut ctx, m)?;
+/// let stale = m.iova;
+/// # let _ = (iova, stale);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// The `Iova` copied out before the unmap stays usable:
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let pa = mem.alloc_frame(NumaDomain(0))?.base();
+/// let m = engine.map(&mut ctx, DmaBuf::new(pa, 64), DmaDirection::ToDevice)?;
+/// let iova = m.iova;
+/// engine.unmap(&mut ctx, m)?;
+/// let stale = iova;
+/// # let _ = (iova, stale);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// Unmapping the same handle twice does not compile:
+///
+/// ```compile_fail,E0382
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let pa = mem.alloc_frame(NumaDomain(0))?.base();
+/// let m = engine.map(&mut ctx, DmaBuf::new(pa, 64), DmaDirection::ToDevice)?;
+/// let n = engine.map(&mut ctx, DmaBuf::new(pa.add(64), 64), DmaDirection::ToDevice)?;
+/// engine.unmap(&mut ctx, m)?;
+/// engine.unmap(&mut ctx, m)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// Each handle unmapped once compiles:
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let pa = mem.alloc_frame(NumaDomain(0))?.base();
+/// let m = engine.map(&mut ctx, DmaBuf::new(pa, 64), DmaDirection::ToDevice)?;
+/// let n = engine.map(&mut ctx, DmaBuf::new(pa.add(64), 64), DmaDirection::ToDevice)?;
+/// engine.unmap(&mut ctx, m)?;
+/// engine.unmap(&mut ctx, n)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// A handle handed to `unmap_sg` is gone too:
+///
+/// ```compile_fail,E0382
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let pa = mem.alloc_frame(NumaDomain(0))?.base();
+/// let head = engine.map(&mut ctx, DmaBuf::new(pa, 64), DmaDirection::FromDevice)?;
+/// let tail = engine.map(&mut ctx, DmaBuf::new(pa.add(64), 64), DmaDirection::FromDevice)?;
+/// let head_iova = head.iova;
+/// engine.unmap_sg(&mut ctx, vec![head, tail])?;
+/// let stale = head.iova;
+/// # let _ = (head_iova, stale);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// Its copied-out `Iova` is not:
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaBuf, DmaDirection, DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaDomain, NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// # let pa = mem.alloc_frame(NumaDomain(0))?.base();
+/// let head = engine.map(&mut ctx, DmaBuf::new(pa, 64), DmaDirection::FromDevice)?;
+/// let tail = engine.map(&mut ctx, DmaBuf::new(pa.add(64), 64), DmaDirection::FromDevice)?;
+/// let head_iova = head.iova;
+/// engine.unmap_sg(&mut ctx, vec![head, tail])?;
+/// let stale = head_iova;
+/// # let _ = (head_iova, stale);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[must_use = "a DMA mapping must be returned with `unmap`, or the device keeps its access"]
+#[derive(Debug, PartialEq, Eq)]
 pub struct DmaMapping {
     /// The device-visible address of the buffer.
     pub iova: Iova,
@@ -99,7 +227,46 @@ pub struct DmaMapping {
 /// A buffer allocated with `dma_alloc_coherent` (§2.2): permanently mapped,
 /// page-quantity memory shared between driver and device (descriptor rings,
 /// mailboxes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Like [`DmaMapping`], the buffer is a move-only, `#[must_use]` ownership
+/// token: [`crate::DmaEngine::free_coherent`] consumes it, so a second free
+/// does not compile:
+///
+/// ```compile_fail,E0382
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// let ring = engine.alloc_coherent(&mut ctx, 4096)?;
+/// let mailbox = engine.alloc_coherent(&mut ctx, 4096)?;
+/// engine.free_coherent(&mut ctx, ring)?;
+/// engine.free_coherent(&mut ctx, ring)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// Freeing each buffer once compiles:
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use dma_api::{DmaEngine, NoIommu};
+/// # use iommu::DeviceId;
+/// # use memsim::{NumaTopology, PhysMemory};
+/// # use simcore::{CoreCtx, CoreId, CostModel};
+/// # let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(8)));
+/// # let engine = NoIommu::new(mem.clone(), DeviceId(0));
+/// # let mut ctx = CoreCtx::new(CoreId(0), Arc::new(CostModel::zero()));
+/// let ring = engine.alloc_coherent(&mut ctx, 4096)?;
+/// let mailbox = engine.alloc_coherent(&mut ctx, 4096)?;
+/// engine.free_coherent(&mut ctx, ring)?;
+/// engine.free_coherent(&mut ctx, mailbox)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[must_use = "a coherent buffer must be returned with `free_coherent`, or it stays mapped"]
+#[derive(Debug, PartialEq, Eq)]
 pub struct CoherentBuffer {
     /// Device-visible address.
     pub iova: Iova,

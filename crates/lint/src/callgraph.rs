@@ -10,9 +10,8 @@
 //! compatible (receiver-position heuristics mirror the `map`/`unmap`
 //! recognition in [`crate::typestate`]). Calls that resolve to nothing —
 //! std/core methods, macros-expanded names, trait objects we cannot see —
-//! are counted per function as *unknown callees*: the explicit bottom of
-//! the interprocedural lattice. [`crate::summary`] consumes the graph
-//! bottom-up over its SCCs.
+//! are counted per function as *unknown callees*. The taint pass
+//! ([`crate::taint`]) resolves helper calls through the graph.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -224,7 +223,6 @@ fn collect_closures(trees: &[Tree], out: &mut Vec<(usize, Vec<Param>, Vec<Tree>)
                 .filter_map(|t| match t {
                     Tree::Tok(tok) if tok.is_ident && tok.text != "mut" => Some(Param {
                         name: tok.text.clone(),
-                        by_ref: false,
                     }),
                     _ => None,
                 })
@@ -313,14 +311,13 @@ impl CallGraph {
                     callees.extend(targets);
                 }
             }
-            // Closures hang off their parent: the parent "calls" them (at
-            // worst deferred, which the summaries treat conservatively).
             callees.sort_unstable();
             callees.dedup();
             self.callees[id] = callees;
             self.unknown_calls[id] = unknown;
         }
-        // Parent → closure edges.
+        // Parent → closure edges: the parent "calls" its closures (at
+        // worst deferred).
         let mut pending: Vec<(usize, usize)> = Vec::new();
         for (id, node) in self.nodes.iter().enumerate() {
             if node.is_closure {
@@ -361,65 +358,6 @@ impl CallGraph {
                 }
             })
             .collect()
-    }
-
-    /// Tarjan SCCs in reverse-topological order (callees before callers),
-    /// so summaries can be computed bottom-up in one sweep.
-    pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.nodes.len();
-        let mut index = vec![usize::MAX; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack = Vec::new();
-        let mut sccs = Vec::new();
-        let mut next = 0usize;
-        // Iterative Tarjan: frame = (node, child cursor).
-        for root in 0..n {
-            if index[root] != usize::MAX {
-                continue;
-            }
-            let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-            while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-                if *cursor == 0 {
-                    index[v] = next;
-                    low[v] = next;
-                    next += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if let Some(&w) = self.callees[v].get(*cursor) {
-                    *cursor += 1;
-                    if index[w] == usize::MAX {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut scc = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w] = false;
-                            scc.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        scc.sort_unstable();
-                        sccs.push(scc);
-                    }
-                }
-            }
-        }
-        sccs
-    }
-
-    /// Whether `id` participates in recursion (self-loop or SCC > 1).
-    pub fn is_recursive(&self, id: usize, scc: &[usize]) -> bool {
-        scc.len() > 1 || self.callees[id].contains(&id)
     }
 }
 
@@ -519,25 +457,6 @@ mod tests {
     fn bitwise_or_is_not_a_closure() {
         let g = graph("fn f(a: u32, b: u32) -> u32 { mix(a | b) }\nfn mix(x: u32) -> u32 { x }\n");
         assert!(g.nodes.iter().all(|n| !n.is_closure), "{:?}", g.nodes);
-    }
-
-    #[test]
-    fn sccs_come_out_callees_first() {
-        let src = "fn a() { b(); }\nfn b() { c(); }\nfn c() { b(); }\nfn d() {}\n";
-        let g = graph(src);
-        let sccs = g.sccs();
-        let pos = |name: &str| {
-            let id = id_of(&g, name);
-            sccs.iter()
-                .position(|s| s.contains(&id))
-                .expect("in an scc")
-        };
-        // b and c are one SCC and must precede a.
-        assert_eq!(pos("b"), pos("c"));
-        assert!(pos("b") < pos("a"), "{sccs:?}");
-        let bc = &sccs[pos("b")];
-        assert!(g.is_recursive(id_of(&g, "b"), bc));
-        assert!(!g.is_recursive(id_of(&g, "a"), &sccs[pos("a")]));
     }
 
     #[test]

@@ -113,8 +113,6 @@ pub struct Param {
     /// The binding name (`self` for receivers; pattern parameters take
     /// their first identifier).
     pub name: String,
-    /// The parameter is taken by reference (`&T`, `&mut T`, `&self`).
-    pub by_ref: bool,
 }
 
 /// One extracted function body.
@@ -132,8 +130,7 @@ pub struct Function {
 
 /// Parses a signature group's children into parameters. Each parameter is
 /// `pat: Type` (or a bare receiver); the binding name is the first
-/// identifier after any `&`/`mut` prefix, and `by_ref` records whether the
-/// *type* side starts with `&` (receivers: whether the receiver does).
+/// identifier after any `&`/`mut` prefix.
 fn parse_params(children: &[Tree]) -> Vec<Param> {
     let mut out = Vec::new();
     for arg in split_top_level_commas(children) {
@@ -142,11 +139,6 @@ fn parse_params(children: &[Tree]) -> Vec<Param> {
         }
         // Receiver forms: `self`, `&self`, `&mut self`, `mut self`.
         let colon = arg.iter().position(|t| t.is_punct(":"));
-        let by_ref = match colon {
-            // `&'a mut Type` — a reference type after the colon.
-            Some(c) => arg.get(c + 1).is_some_and(|t| t.is_punct("&")),
-            None => arg.first().is_some_and(|t| t.is_punct("&")),
-        };
         let pat = match colon {
             Some(c) => &arg[..c],
             None => arg,
@@ -160,7 +152,7 @@ fn parse_params(children: &[Tree]) -> Vec<Param> {
             .next()
             .unwrap_or_default();
         if !name.is_empty() {
-            out.push(Param { name, by_ref });
+            out.push(Param { name });
         }
     }
     out
@@ -274,9 +266,6 @@ pub struct Stmt {
     pub has_try: bool,
     /// The statement is a `return`/`break`-style terminator.
     pub is_return: bool,
-    /// The statement is the function's tail expression (no `;`): its
-    /// value — and any handle mentioned in it — escapes to the caller.
-    pub is_tail: bool,
 }
 
 /// A basic block: exactly one statement (possibly empty for join nodes)
@@ -309,7 +298,7 @@ impl Cfg {
             entry: 0,
             exit: 1,
         };
-        let end = cfg.lower_block(body, cfg.entry, true);
+        let end = cfg.lower_block(body, cfg.entry);
         cfg.link(end, 1);
         cfg
     }
@@ -326,37 +315,31 @@ impl Cfg {
     }
 
     /// Lowers a `{}` body: returns the block control falls out of.
-    /// `is_fn_body` marks the final expression-statement as the tail.
-    fn lower_block(&mut self, trees: &[Tree], mut cur: usize, is_fn_body: bool) -> usize {
-        let stmts = split_statements(trees);
-        let n = stmts.len();
-        for (k, raw) in stmts.into_iter().enumerate() {
-            let is_last = k + 1 == n;
-            cur = self.lower_stmt(raw, cur, is_fn_body && is_last);
+    fn lower_block(&mut self, trees: &[Tree], mut cur: usize) -> usize {
+        for raw in split_statements(trees) {
+            cur = self.lower_stmt(raw, cur);
         }
         cur
     }
 
     /// Lowers one raw statement; returns the block control continues in.
-    fn lower_stmt(&mut self, raw: RawStmt, cur: usize, tail_position: bool) -> usize {
+    fn lower_stmt(&mut self, raw: Vec<Tree>, cur: usize) -> usize {
         match classify(&raw) {
-            StmtShape::If => self.lower_if(&raw.trees, cur),
-            StmtShape::Match => self.lower_match(&raw.trees, cur),
-            StmtShape::Loop => self.lower_loop(&raw.trees, cur),
+            StmtShape::If => self.lower_if(&raw, cur),
+            StmtShape::Match => self.lower_match(&raw, cur),
+            StmtShape::Loop => self.lower_loop(&raw, cur),
             StmtShape::Block(children) => {
                 // Plain `{ … }` statement (or `unsafe { … }`).
-                self.lower_block(&children, cur, false)
+                self.lower_block(&children, cur)
             }
             StmtShape::Simple { is_return } => {
-                let has_try = top_level_try(&raw.trees);
-                let is_tail = tail_position && !raw.terminated && !is_return;
+                let has_try = top_level_try(&raw);
                 let b = self.new_block();
                 self.blocks[b].stmt = Some(Stmt {
-                    line: raw.trees.first().map(Tree::line).unwrap_or(0),
-                    trees: raw.trees,
+                    line: raw.first().map(Tree::line).unwrap_or(0),
+                    trees: raw,
                     has_try,
                     is_return,
-                    is_tail,
                 });
                 self.link(cur, b);
                 if is_return {
@@ -389,12 +372,11 @@ impl Cfg {
             trees: head,
             has_try,
             is_return: false,
-            is_tail: false,
         });
         self.link(cur, h);
         let join = self.new_block();
         if let Some(Tree::Group { children, .. }) = trees.get(then_at) {
-            let end = self.lower_block(children, h, false);
+            let end = self.lower_block(children, h);
             self.link(end, join);
         } else {
             self.link(h, join);
@@ -409,7 +391,7 @@ impl Cfg {
                         children,
                         ..
                     }) => {
-                        let end = self.lower_block(children, h, false);
+                        let end = self.lower_block(children, h);
                         self.link(end, join);
                     }
                     Some(t2) if t2.is_ident("if") => {
@@ -439,7 +421,6 @@ impl Cfg {
             trees: head,
             has_try,
             is_return: false,
-            is_tail: false,
         });
         self.link(cur, h);
         let join = self.new_block();
@@ -447,7 +428,7 @@ impl Cfg {
         if let Some(Tree::Group { children, .. }) = trees.get(arms_at) {
             for arm in split_match_arms(children) {
                 any_arm = true;
-                let end = self.lower_block(&arm, h, false);
+                let end = self.lower_block(&arm, h);
                 self.link(end, join);
             }
         }
@@ -473,24 +454,16 @@ impl Cfg {
             trees: head,
             has_try,
             is_return: false,
-            is_tail: false,
         });
         self.link(cur, h);
         if let Some(Tree::Group { children, .. }) = trees.get(body_at) {
-            let end = self.lower_block(children, h, false);
+            let end = self.lower_block(children, h);
             self.link(end, h); // back edge
         }
         let after = self.new_block();
         self.link(h, after);
         after
     }
-}
-
-/// A raw statement before lowering.
-struct RawStmt {
-    trees: Vec<Tree>,
-    /// Ended with an explicit `;`.
-    terminated: bool,
 }
 
 enum StmtShape {
@@ -501,8 +474,8 @@ enum StmtShape {
     Simple { is_return: bool },
 }
 
-fn classify(raw: &RawStmt) -> StmtShape {
-    match raw.trees.first() {
+fn classify(raw: &[Tree]) -> StmtShape {
+    match raw.first() {
         Some(t) if t.is_ident("if") => StmtShape::If,
         Some(t) if t.is_ident("match") => StmtShape::Match,
         Some(t) if t.is_ident("loop") || t.is_ident("while") || t.is_ident("for") => {
@@ -511,19 +484,19 @@ fn classify(raw: &RawStmt) -> StmtShape {
         Some(t) if t.is_ident("return") || t.is_ident("break") || t.is_ident("continue") => {
             StmtShape::Simple { is_return: true }
         }
-        Some(t) if t.is_ident("unsafe") => match raw.trees.get(1) {
+        Some(t) if t.is_ident("unsafe") => match raw.get(1) {
             Some(Tree::Group {
                 delim: '{',
                 children,
                 ..
-            }) if raw.trees.len() == 2 => StmtShape::Block(children.clone()),
+            }) if raw.len() == 2 => StmtShape::Block(children.clone()),
             _ => StmtShape::Simple { is_return: false },
         },
         Some(Tree::Group {
             delim: '{',
             children,
             ..
-        }) if raw.trees.len() == 1 => StmtShape::Block(children.clone()),
+        }) if raw.len() == 1 => StmtShape::Block(children.clone()),
         _ => StmtShape::Simple { is_return: false },
     }
 }
@@ -531,17 +504,14 @@ fn classify(raw: &RawStmt) -> StmtShape {
 /// Splits a body's trees into statements: at top-level `;`, and after a
 /// block-shaped statement (`if`/`match`/`loop`/`while`/`for`/plain block)
 /// whose brace group is not followed by `;` (expression-statement form).
-fn split_statements(trees: &[Tree]) -> Vec<RawStmt> {
+fn split_statements(trees: &[Tree]) -> Vec<Vec<Tree>> {
     let mut out = Vec::new();
     let mut cur: Vec<Tree> = Vec::new();
     let mut i = 0;
     while i < trees.len() {
         let t = &trees[i];
         if t.is_punct(";") {
-            out.push(RawStmt {
-                trees: std::mem::take(&mut cur),
-                terminated: true,
-            });
+            out.push(std::mem::take(&mut cur));
             i += 1;
             continue;
         }
@@ -558,19 +528,13 @@ fn split_statements(trees: &[Tree]) -> Vec<RawStmt> {
             let next_semi = trees.get(i + 1).is_some_and(|n| n.is_punct(";"));
             let head_if = cur.first().is_some_and(|h| h.is_ident("if"));
             if !(next_semi || (head_if && next_else)) {
-                out.push(RawStmt {
-                    trees: std::mem::take(&mut cur),
-                    terminated: true,
-                });
+                out.push(std::mem::take(&mut cur));
             }
         }
         i += 1;
     }
     if !cur.is_empty() {
-        out.push(RawStmt {
-            trees: cur,
-            terminated: false,
-        });
+        out.push(cur);
     }
     out
 }
@@ -663,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn signatures_yield_named_params_with_ref_flags() {
+    fn signatures_yield_named_params() {
         let src = "impl S {\n    fn m(&self, ctx: &mut C, m: M, n: usize) -> R { x }\n}\nfn free(mut a: A, b: &B) {}\n";
         let p = prep("x.rs", src);
         let trees = build_trees(&tokenize(&p.blank));
@@ -671,13 +635,9 @@ mod tests {
         let m = fns.iter().find(|f| f.name == "m").expect("method");
         let names: Vec<&str> = m.params.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["self", "ctx", "m", "n"]);
-        let refs: Vec<bool> = m.params.iter().map(|p| p.by_ref).collect();
-        assert_eq!(refs, [true, true, false, false]);
         let free = fns.iter().find(|f| f.name == "free").expect("free fn");
         assert_eq!(free.params[0].name, "a");
-        assert!(!free.params[0].by_ref);
         assert_eq!(free.params[1].name, "b");
-        assert!(free.params[1].by_ref);
     }
 
     #[test]
@@ -708,13 +668,6 @@ mod tests {
         // dataflow consumer propagates a different state along it.
         assert!(!cfg.blocks[g].succs.contains(&cfg.exit), "{cfg:?}");
         assert!(cfg.blocks[g].stmt.as_ref().expect("stmt").has_try);
-        // The tail expression is marked.
-        let tail = cfg
-            .blocks
-            .iter()
-            .filter_map(|b| b.stmt.as_ref())
-            .find(|s| s.is_tail);
-        assert!(tail.is_some(), "{cfg:?}");
     }
 
     #[test]

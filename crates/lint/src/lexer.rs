@@ -2,7 +2,7 @@
 //! Rust source file, the `#[cfg(test)]` region mask, and a token stream.
 //!
 //! Everything downstream — the style rules, the lock-order pass, the
-//! unsafe audit, and the DMA-protocol typestate checker — consumes the
+//! DMA-protocol typestate checker, and the taint pass — consumes the
 //! output of this one pass, so there is exactly one tokenizer and one
 //! interpretation of what is code and what is comment.
 

@@ -10,34 +10,35 @@
 //! 1. **House style rules** ([`rules::style`]) — no `unwrap()`/`expect(`
 //!    outside `#[cfg(test)]`, no raw `PhysAddr` arithmetic outside
 //!    `memsim`, no `std::process`/`std::net`/`std::fs`, no
-//!    `Ordering::Relaxed` outside `crates/obs`, and no external
-//!    dependencies in any manifest (the workspace builds offline).
+//!    `Ordering::Relaxed` outside `crates/obs`; and in every manifest, no
+//!    external dependencies (the workspace builds offline) and no package
+//!    that opts out of the workspace lints (`unsafe_code = "forbid"`).
 //! 2. **Lock order** ([`rules::lock_order`]) — extracts every
 //!    instrumented lock site, builds the nested-acquisition graph, and
 //!    flags cycles; the site inventory feeds the model checker's
 //!    `known_locks`.
-//! 3. **DMA-API protocol, interprocedural** ([`rules::protocol`],
-//!    [`typestate`], [`callgraph`], [`summary`]) — a typestate dataflow
-//!    over each function's CFG tracking DMA handles
-//!    (`Unmapped → Mapped → SyncedForCpu → Unmapped`): use-after-unmap,
-//!    leak-on-exit, double-unmap, sync-before-cpu-read — the static
-//!    mirror of dmasan's runtime rules. A workspace call graph feeds
-//!    bottom-up per-function effect summaries (computed over SCCs with a
-//!    fixpoint for recursion), so handles passed to, returned from, or
-//!    unmapped inside helpers are checked at call sites; handles the
-//!    lattice genuinely loses become structured escape notes.
+//! 3. **DMA-API protocol** ([`rules::protocol`], [`typestate`]) — an
+//!    intraprocedural dataflow over each function's CFG for the two
+//!    protocol rules types cannot express: leak-on-exit and
+//!    sync-before-cpu-read. Use-after-unmap and double-unmap are compile
+//!    errors: `DmaMapping` and `CoherentBuffer` are move-only ownership
+//!    tokens consumed by `unmap`/`free_coherent` (E0382; see the
+//!    `compile_fail` doctests on `dma_api::DmaMapping`).
 //! 4. **Device taint** ([`taint`]) — values read off device-writable
 //!    mapped buffers flowing into an index, loop bound, accessor length,
-//!    or `PhysAddr` arithmetic without a bounds check.
-//! 5. **Unsafe audit** ([`rules::unsafe_audit`]) — every `unsafe` must
-//!    carry a `// SAFETY:` comment; the inventory (plus which crates
-//!    `#![forbid(unsafe_code)]`) is exported like the lock-order report.
+//!    or `PhysAddr` arithmetic without a bounds check. The workspace call
+//!    graph ([`callgraph`]) resolves helper calls, so the result of a
+//!    function that reads device data is a source in its callers.
+//!
+//! `unsafe` needs no pass of its own: `[workspace.lints.rust]` forbids
+//! it for every target of every package, and the manifest rule above
+//! keeps each package inheriting that setting.
 //!
 //! Every rule is waiver-compatible (`// lint: allow(<rule>) — <reason>`,
 //! reason mandatory) — and waivers are themselves audited: a reasoned
-//! waiver whose rule no longer finds anything unfiltered is a
-//! `dead-waiver` finding. The runner exits 0 (clean) / 1 (findings) /
-//! 2 (scan failure) as before. Run via `cargo run --bin lint`
+//! waiver whose rule finds nothing unfiltered, or that names no rule at
+//! all, is a `dead-waiver` finding. The runner exits 0 (clean) / 1
+//! (findings) / 2 (scan failure). Run via `cargo run --bin lint`
 //! (`--fast` for style-only, `--json <path>` for the machine-readable
 //! report, `--budget-ms <n>` to fail on blown wall clock).
 #![forbid(unsafe_code)]
@@ -50,7 +51,6 @@ pub mod cfg;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod summary;
 pub mod taint;
 pub mod typestate;
 
@@ -58,20 +58,17 @@ pub use callgraph::{build_workspace_graph, CallGraph, FnNode};
 pub use lexer::{aligned_views, strip_code, test_region_mask, Prep};
 pub use report::{json_report, rule_summary, LintViolation};
 pub use rules::lock_order::{lock_order_analysis, LockEdge, LockOrderReport, LockSite};
-pub use rules::protocol::{EscapeExport, ProtocolAnalysis};
+pub use rules::protocol::ProtocolAnalysis;
 pub use rules::style::{lint_manifest, lint_source, FileContext};
-pub use rules::unsafe_audit::{unsafe_audit_analysis, UnsafeReport, UnsafeSite};
 pub use rules::{has_rule_waiver, IO_WAIVER, PANIC_WAIVER, RELAXED_WAIVER};
-pub use summary::{FnSummary, ParamEffect, RetEffect};
 pub use taint::TaintStats;
-pub use typestate::{EscapeKind, EscapeNote, Finding, InterCtx};
+pub use typestate::Finding;
 
 /// Every rule the workspace lint can emit, for the per-rule summary.
-pub const ALL_RULES: [&str; 13] = [
+pub const ALL_RULES: [&str; 11] = [
     "ambient-io",
     "dead-waiver",
     "device-taint",
-    "double-unmap",
     "external-dep",
     "leak-on-exit",
     "lock-order",
@@ -79,8 +76,7 @@ pub const ALL_RULES: [&str; 13] = [
     "phys-addr-arith",
     "relaxed-atomic",
     "sync-before-cpu-read",
-    "unsafe-no-safety",
-    "use-after-unmap",
+    "workspace-lints",
 ];
 
 /// The sorted member crate directories under `root/crates`.
@@ -111,19 +107,19 @@ pub(crate) fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<
 pub enum Pass {
     /// Style + manifest rules only (`lint --fast`).
     Fast,
-    /// Everything: style, lock-order, protocol, unsafe audit.
+    /// Everything: style, lock-order, protocol, device-taint, dead-waiver.
     #[default]
     Full,
 }
 
 /// A full workspace scan: the violations the build gates on, plus (for
-/// `Pass::Full`) the interprocedural analysis product the JSON report
-/// exports next to the lock-order and unsafe inventories.
+/// `Pass::Full`) the call-graph and taint product the JSON report exports
+/// next to the lock-order inventory.
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
     /// Waiver-filtered violations across every file and manifest.
     pub violations: Vec<LintViolation>,
-    /// Call graph, summaries, escapes, and taint stats (`Pass::Full` only).
+    /// Call graph, device readers, and taint stats (`Pass::Full` only).
     pub protocol: Option<ProtocolAnalysis>,
 }
 
@@ -143,8 +139,7 @@ fn raw_rule_counts<'a>(
 
 /// Lints the whole workspace rooted at `root`: every member crate's
 /// sources and manifest, plus the root manifest. `Pass::Full` adds the
-/// lock-order, interprocedural protocol, device-taint, unsafe, and
-/// dead-waiver passes.
+/// lock-order, protocol, device-taint, and dead-waiver passes.
 pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<WorkspaceReport> {
     let mut out = Vec::new();
     let label = |p: &Path| {
@@ -154,15 +149,14 @@ pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<Workspa
             .to_string()
             .replace('\\', "/")
     };
-    // The interprocedural context is built once over the whole workspace
-    // so per-file protocol checks can resolve cross-file helper calls.
+    // The call graph is built once over the whole workspace so the
+    // per-file taint pass can resolve cross-file helper calls.
     let mut analysis = if pass == Pass::Full {
         let graph = build_workspace_graph(root)?;
-        let summaries = summary::compute(&graph);
+        let reads_device_data = taint::device_readers(&graph);
         Some(ProtocolAnalysis {
             graph,
-            summaries,
-            escapes: Vec::new(),
+            reads_device_data,
             taint: TaintStats::default(),
         })
     } else {
@@ -195,35 +189,17 @@ pub fn lint_workspace_report(root: &Path, pass: Pass) -> std::io::Result<Workspa
             let p = lexer::prep(&rel, &src);
             out.extend(rules::style::check_prepped(&p, &src, ctx));
             if pass == Pass::Full {
-                let ic = analysis.as_ref().map(|a| InterCtx {
-                    graph: &a.graph,
-                    summaries: &a.summaries,
-                });
-                let fp = rules::protocol::check_file(&p, &src, ctx, ic.as_ref());
-                let sites = rules::unsafe_audit::scan_file(&p, &src);
-                out.extend(rules::unsafe_audit::violations(&sites, &src));
+                let fp = rules::protocol::check_file(&p, &src, ctx, analysis.as_ref());
                 // Dead waivers: compare the file's waivers against what the
                 // *unfiltered* passes found (waivers read from the `src`
                 // argument, so an empty one disables filtering).
-                let mut raw: Vec<&str> = rules::style::check_prepped(&p, "", ctx)
+                let raw = rules::style::check_prepped(&p, "", ctx)
                     .iter()
                     .map(|v| v.rule)
                     .chain(fp.raw.iter().map(|f| f.rule))
-                    .chain(
-                        rules::unsafe_audit::violations(&sites, "")
-                            .iter()
-                            .map(|v| v.rule),
-                    )
-                    .collect();
-                raw.sort_unstable();
+                    .collect::<Vec<_>>();
                 out.extend(rules::dead_waivers(&rel, &src, ctx, &raw_rule_counts(raw)));
                 if let Some(a) = analysis.as_mut() {
-                    a.escapes.extend(fp.escapes.into_iter().map(|note| {
-                        rules::protocol::EscapeExport {
-                            file: rel.clone(),
-                            note,
-                        }
-                    }));
                     a.taint.absorb(fp.taint);
                 }
                 out.extend(fp.violations);

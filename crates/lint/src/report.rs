@@ -6,8 +6,6 @@ use obs::json::Json;
 
 use crate::rules::lock_order::LockOrderReport;
 use crate::rules::protocol::ProtocolAnalysis;
-use crate::rules::unsafe_audit::UnsafeReport;
-use crate::summary::RetEffect;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,10 +14,7 @@ pub struct LintViolation {
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Stable rule name: `panic`, `phys-addr-arith`, `ambient-io`,
-    /// `external-dep`, `relaxed-atomic`, `lock-order`, `use-after-unmap`,
-    /// `leak-on-exit`, `double-unmap`, `sync-before-cpu-read`,
-    /// `unsafe-no-safety`.
+    /// Stable rule name, one of [`crate::ALL_RULES`].
     pub rule: &'static str,
     /// What was found.
     pub detail: String,
@@ -46,13 +41,8 @@ pub fn rule_summary(violations: &[LintViolation]) -> BTreeMap<&'static str, usiz
     counts
 }
 
-/// The `call_graph`, `summaries`, `escapes`, and `taint_analysis`
-/// sections of the JSON report, from a full scan's interprocedural
-/// product. Summaries are exported only when DMA-relevant — a parameter
-/// with an unmap or sync effect, a fresh-mapped return, or a device-data
-/// read — so the report stays proportional to the DMA surface, not the
-/// workspace size (plain escape/return facts exist for nearly every
-/// function and are only interesting to the checker itself).
+/// The `call_graph`, `device_readers`, and `taint_analysis` sections of
+/// the JSON report, from a full scan's whole-workspace product.
 fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
     let g = &analysis.graph;
     let closures = g.nodes.iter().filter(|n| n.is_closure).count();
@@ -68,73 +58,17 @@ fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
             "unknown_calls".into(),
             Json::UInt(g.unknown_calls.iter().sum::<usize>() as u64),
         ),
-        ("sccs".into(), Json::UInt(g.sccs().len() as u64)),
     ]);
-    let param_effects = |s: &crate::summary::FnSummary| {
-        Json::Arr(
-            s.params
-                .iter()
-                .map(|p| {
-                    let mut effects = Vec::new();
-                    for (on, name) in [
-                        (p.must_unmap, "must-unmap"),
-                        (p.may_unmap && !p.must_unmap, "may-unmap"),
-                        (p.syncs_cpu, "syncs-cpu"),
-                        (p.escapes, "escapes"),
-                        (p.returned, "returned"),
-                        (p.uses, "uses"),
-                    ] {
-                        if on {
-                            effects.push(Json::Str(name.to_string()));
-                        }
-                    }
-                    Json::Arr(effects)
-                })
-                .collect(),
-        )
-    };
-    let ret_str = |s: &crate::summary::FnSummary| match &s.ret {
-        RetEffect::NotHandle => "not-handle".to_string(),
-        RetEffect::FreshMapped { dir } => format!("fresh-mapped:{}", dir.name()),
-        RetEffect::Unknown => "unknown".to_string(),
-    };
-    let interesting = |s: &crate::summary::FnSummary| {
-        s.reads_device_data
-            || matches!(s.ret, RetEffect::FreshMapped { .. })
-            || s.params
-                .iter()
-                .any(|p| p.may_unmap || p.must_unmap || p.syncs_cpu)
-    };
-    let summaries = Json::Arr(
+    let device_readers = Json::Arr(
         g.nodes
             .iter()
-            .zip(&analysis.summaries)
-            .filter(|(_, s)| interesting(s))
-            .map(|(n, s)| {
+            .zip(&analysis.reads_device_data)
+            .filter(|(_, &reads)| reads)
+            .map(|(n, _)| {
                 Json::Obj(vec![
                     ("function".into(), Json::Str(n.name.clone())),
                     ("file".into(), Json::Str(n.file.clone())),
                     ("line".into(), Json::UInt(n.line as u64)),
-                    ("params".into(), param_effects(s)),
-                    ("ret".into(), Json::Str(ret_str(s))),
-                    ("reads_device_data".into(), Json::Bool(s.reads_device_data)),
-                    ("converged".into(), Json::Bool(s.converged)),
-                ])
-            })
-            .collect(),
-    );
-    let escapes = Json::Arr(
-        analysis
-            .escapes
-            .iter()
-            .map(|e| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(e.file.clone())),
-                    ("function".into(), Json::Str(e.note.function.clone())),
-                    ("line".into(), Json::UInt(e.note.line as u64)),
-                    ("var".into(), Json::Str(e.note.var.clone())),
-                    ("kind".into(), Json::Str(e.note.kind.name().to_string())),
-                    ("detail".into(), Json::Str(e.note.detail.clone())),
                 ])
             })
             .collect(),
@@ -152,20 +86,18 @@ fn protocol_sections(analysis: &ProtocolAnalysis) -> Vec<(String, Json)> {
     ]);
     vec![
         ("call_graph".into(), call_graph),
-        ("summaries".into(), summaries),
-        ("escapes".into(), escapes),
+        ("device_readers".into(), device_readers),
         ("taint_analysis".into(), taint),
     ]
 }
 
 /// Builds the machine-readable lint report (`lint --json <path>`): the
-/// findings, the per-rule summary, the exported lock-order and unsafe
-/// inventories, and (on a full scan) the interprocedural call-graph,
-/// summary, escape, and taint sections.
+/// findings, the per-rule summary, the exported lock-order inventory,
+/// and (on a full scan) the call-graph, device-reader, and taint
+/// sections.
 pub fn json_report(
     violations: &[LintViolation],
     locks: &LockOrderReport,
-    unsafes: &UnsafeReport,
     protocol: Option<&ProtocolAnalysis>,
 ) -> Json {
     let viol = |v: &LintViolation| {
@@ -217,22 +149,6 @@ pub fn json_report(
             .map(|c| Json::Arr(c.iter().map(|n| Json::Str(n.clone())).collect()))
             .collect(),
     );
-    let unsafe_sites = Json::Arr(
-        unsafes
-            .sites
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(s.file.clone())),
-                    ("line".into(), Json::UInt(s.line as u64)),
-                    (
-                        "has_safety_comment".into(),
-                        Json::Bool(s.has_safety_comment),
-                    ),
-                ])
-            })
-            .collect(),
-    );
     let mut fields = vec![
         ("tool".into(), Json::Str("lint".to_string())),
         (
@@ -246,22 +162,6 @@ pub fn json_report(
                 ("sites".into(), lock_sites),
                 ("edges".into(), lock_edges),
                 ("cycles".into(), cycles),
-            ]),
-        ),
-        (
-            "unsafe_audit".into(),
-            Json::Obj(vec![
-                ("sites".into(), unsafe_sites),
-                (
-                    "forbid_crates".into(),
-                    Json::Arr(
-                        unsafes
-                            .forbid_crates
-                            .iter()
-                            .map(|c| Json::Str(c.clone()))
-                            .collect(),
-                    ),
-                ),
             ]),
         ),
     ];
@@ -293,7 +193,7 @@ mod tests {
         ];
         let s = rule_summary(&v);
         assert_eq!(s["panic"], 2);
-        assert_eq!(s["use-after-unmap"], 0);
+        assert_eq!(s["leak-on-exit"], 0);
         assert!(s.contains_key("lock-order"));
     }
 
@@ -305,12 +205,7 @@ mod tests {
             rule: "leak-on-exit",
             detail: "m leaks".into(),
         }];
-        let j = json_report(
-            &v,
-            &LockOrderReport::default(),
-            &UnsafeReport::default(),
-            None,
-        );
+        let j = json_report(&v, &LockOrderReport::default(), None);
         let parsed = Json::parse(&j.encode()).expect("valid json");
         let first = parsed
             .get("violations")
@@ -330,42 +225,41 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        // A fast pass has no interprocedural product, so no such sections.
+        // A fast pass builds no call graph, so no such sections.
         assert!(parsed.get("call_graph").is_none());
         assert!(parsed.get("taint_analysis").is_none());
     }
 
     #[test]
-    fn full_report_exports_interprocedural_sections() {
-        let src = "fn unmap_it(engine: &E, ctx: &mut C, m: Mapping) {\n\
+    fn full_report_exports_workspace_sections() {
+        let src = "fn rx(engine: &E, mem: &M, ctx: &mut C) -> Vec<u8> {\n\
+            let m = engine.map(ctx, DmaBuf::new(frame, 64), DmaDirection::FromDevice).expect(\"m\");\n\
+            engine.sync_for_cpu(ctx, &m);\n\
+            let data = mem.read_vec(frame, 64);\n\
             engine.unmap(ctx, m).expect(\"u\");\n\
-            }\n";
+            data\n\
+            }\n\
+            fn idle() {}\n";
         let p = crate::lexer::prep("crates/x/src/lib.rs", src);
         let graph = crate::callgraph::CallGraph::build(&[(p, "x".to_string())]);
-        let summaries = crate::summary::compute(&graph);
+        let reads_device_data = crate::taint::device_readers(&graph);
         let analysis = ProtocolAnalysis {
             graph,
-            summaries,
-            escapes: Vec::new(),
+            reads_device_data,
             taint: crate::taint::TaintStats {
                 sources: 2,
                 tainted_vars: 3,
                 sanitized_vars: 1,
             },
         };
-        let j = json_report(
-            &[],
-            &LockOrderReport::default(),
-            &UnsafeReport::default(),
-            Some(&analysis),
-        );
+        let j = json_report(&[], &LockOrderReport::default(), Some(&analysis));
         let parsed = Json::parse(&j.encode()).expect("valid json");
         assert_eq!(
             parsed
                 .get("call_graph")
                 .and_then(|g| g.get("functions"))
                 .and_then(Json::as_u64),
-            Some(1)
+            Some(2)
         );
         assert_eq!(
             parsed
@@ -374,15 +268,15 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(2)
         );
-        // `unmap_it` must-unmaps its third parameter, so it is exported.
-        let summaries = parsed.get("summaries").expect("summaries section");
-        let first = match summaries {
-            Json::Arr(items) => items.first().expect("one summary"),
-            _ => panic!("summaries not an array"),
+        // Only `rx` reads device data, so only it is exported.
+        let readers = match parsed.get("device_readers") {
+            Some(Json::Arr(items)) => items,
+            other => panic!("device_readers not an array: {other:?}"),
         };
+        assert_eq!(readers.len(), 1, "{readers:?}");
         assert_eq!(
-            first.get("function").and_then(Json::as_str),
-            Some("unmap_it")
+            readers[0].get("function").and_then(Json::as_str),
+            Some("rx")
         );
     }
 }

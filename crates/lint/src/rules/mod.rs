@@ -1,11 +1,11 @@
 //! The rule passes, all consuming the shared front-end ([`crate::lexer`]).
 //!
 //! - [`style`] — the line-level house rules (panic, phys-addr-arith,
-//!   ambient-io, relaxed-atomic) and the manifest rule (external-dep).
+//!   ambient-io, relaxed-atomic) and the manifest rules (external-dep,
+//!   workspace-lints).
 //! - [`lock_order`] — lock-site inventory and acquisition-cycle detection.
-//! - [`protocol`] — the DMA-API typestate checker (use-after-unmap,
-//!   leak-on-exit, double-unmap, sync-before-cpu-read).
-//! - [`unsafe_audit`] — every `unsafe` must carry a `// SAFETY:` comment.
+//! - [`protocol`] — the DMA-API typestate checker for what the move-only
+//!   handle types cannot express (leak-on-exit, sync-before-cpu-read).
 //!
 //! Every rule is waiver-compatible: a file opts out of one rule with
 //! `// lint: allow(<rule>) — <reason>`; the reason is mandatory.
@@ -13,7 +13,6 @@
 pub mod lock_order;
 pub mod protocol;
 pub mod style;
-pub mod unsafe_audit;
 
 /// The waiver comment a file uses to opt out of the panic rule. A reason
 /// is mandatory: `// lint: allow(panic) — deliberate invariant panics`.
@@ -44,15 +43,14 @@ pub fn has_rule_waiver(src: &str, rule: &str) -> bool {
     has_waiver(src, &waiver)
 }
 
-/// The 1-indexed line of the first reasoned waiver for `rule`, if any.
-pub(crate) fn rule_waiver_line(src: &str, rule: &str) -> Option<usize> {
-    let waiver = format!("// lint: allow({rule})");
-    src.lines()
-        .position(|l| {
-            let t = l.trim_start();
-            t.starts_with(&waiver) && t.len() > waiver.len() + 3
-        })
-        .map(|i| i + 1)
+/// Every reasoned waiver in `src`: its 1-indexed line and the rule it
+/// names, in source order.
+fn reasoned_waivers(src: &str) -> impl Iterator<Item = (usize, &str)> {
+    src.lines().enumerate().filter_map(|(i, l)| {
+        let rest = l.trim_start().strip_prefix("// lint: allow(")?;
+        let (rule, reason) = rest.split_once(')')?;
+        (reason.len() > 3).then_some((i + 1, rule))
+    })
 }
 
 /// The waivable rules that actually *execute* for a file in context
@@ -73,34 +71,39 @@ pub(crate) fn executed_waivable_rules(ctx: style::FileContext) -> Vec<&'static s
     }
     rules.extend(protocol::PROTOCOL_RULES);
     rules.push("device-taint");
-    rules.push("unsafe-no-safety");
     rules
 }
 
-/// Reports reasoned waivers that no longer suppress anything: for each
-/// executed waivable rule, a waiver present in `src` while the
-/// *unfiltered* finding count for that rule is zero is itself a finding
-/// (`dead-waiver`), so waivers obsoleted by the interprocedural pass
-/// cannot linger.
+/// Reports reasoned waivers that suppress nothing (`dead-waiver`): a
+/// waiver naming a rule that does not exist (say, one the type system
+/// replaced), and, for each executed waivable rule, a waiver present in
+/// `src` while the *unfiltered* finding count for that rule is zero.
 pub(crate) fn dead_waivers(
     label: &str,
     src: &str,
     ctx: style::FileContext,
     raw_counts: &std::collections::BTreeMap<&'static str, usize>,
 ) -> Vec<crate::report::LintViolation> {
+    let executed = executed_waivable_rules(ctx);
+    let mut reported = std::collections::BTreeSet::new();
     let mut out = Vec::new();
-    for rule in executed_waivable_rules(ctx) {
-        if raw_counts.get(rule).copied().unwrap_or(0) > 0 {
+    for (line, rule) in reasoned_waivers(src) {
+        let detail = if !crate::ALL_RULES.contains(&rule) {
+            format!("waiver names `{rule}`, which is not a lint rule")
+        } else if executed.contains(&rule)
+            && raw_counts.get(rule).copied().unwrap_or(0) == 0
+            && reported.insert(rule)
+        {
+            format!("waiver for `{rule}` no longer suppresses any finding")
+        } else {
             continue;
-        }
-        if let Some(line) = rule_waiver_line(src, rule) {
-            out.push(crate::report::LintViolation {
-                file: label.to_string(),
-                line,
-                rule: "dead-waiver",
-                detail: format!("waiver for `{rule}` no longer suppresses any finding"),
-            });
-        }
+        };
+        out.push(crate::report::LintViolation {
+            file: label.to_string(),
+            line,
+            rule: "dead-waiver",
+            detail,
+        });
     }
     out
 }
@@ -111,10 +114,30 @@ mod tests {
 
     #[test]
     fn rule_waiver_requires_reason() {
-        let with = "// lint: allow(use-after-unmap) — deliberate attack replay\nfn f() {}\n";
-        assert!(has_rule_waiver(with, "use-after-unmap"));
-        let bare = "// lint: allow(use-after-unmap)\nfn f() {}\n";
-        assert!(!has_rule_waiver(bare, "use-after-unmap"));
-        assert!(!has_rule_waiver(with, "double-unmap"));
+        let with = "// lint: allow(leak-on-exit) — ring owns the mapping\nfn f() {}\n";
+        assert!(has_rule_waiver(with, "leak-on-exit"));
+        let bare = "// lint: allow(leak-on-exit)\nfn f() {}\n";
+        assert!(!has_rule_waiver(bare, "leak-on-exit"));
+        assert!(!has_rule_waiver(with, "sync-before-cpu-read"));
+    }
+
+    #[test]
+    fn waivers_for_unknown_or_idle_rules_are_dead() {
+        let src = [
+            "// lint: allow(use-after-unmap) — the handle used to be Copy",
+            "// lint: allow(leak-on-exit) — ring owns the mapping",
+            "// lint: allow(panic) — invariant panics",
+            "// lint: allow(double-unmap)",
+            "fn f() {}",
+        ]
+        .join("\n");
+        let counts = [("panic", 1)].into_iter().collect();
+        let dead = dead_waivers("x.rs", &src, style::FileContext::default(), &counts);
+        let lines: Vec<usize> = dead.iter().map(|v| v.line).collect();
+        // Unknown rule (line 1) and idle rule (line 2); the live `panic`
+        // waiver and the unreasoned line 4 are not reported.
+        assert_eq!(lines, [1, 2], "{dead:?}");
+        assert!(dead[0].detail.contains("not a lint rule"), "{dead:?}");
+        assert!(dead.iter().all(|v| v.rule == "dead-waiver"));
     }
 }

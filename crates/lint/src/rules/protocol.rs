@@ -2,51 +2,31 @@
 //! ([`crate::typestate`]) over a prepared file and converts its findings
 //! into waiver-compatible lint violations.
 //!
-//! In a full workspace scan the pass runs **interprocedurally**: the
-//! workspace call graph ([`crate::callgraph`]) and per-function effect
-//! summaries ([`crate::summary`]) resolve helper calls, returned handles,
-//! and closure captures instead of waiving them, and the device-taint
-//! pass ([`crate::taint`]) rides on the same summaries. The assembled
-//! [`ProtocolAnalysis`] is what `lint --json` exports next to the
-//! lock-order and unsafe inventories.
+//! In a full workspace scan the device-taint pass ([`crate::taint`]) runs
+//! alongside it, resolving helper calls through the workspace call graph
+//! ([`crate::callgraph`]). The assembled [`ProtocolAnalysis`] is what
+//! `lint --json` exports next to the lock-order inventory.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::Prep;
 use crate::report::LintViolation;
 use crate::rules::has_rule_waiver;
 use crate::rules::style::FileContext;
-use crate::summary::FnSummary;
 use crate::taint::TaintStats;
-use crate::typestate::{EscapeNote, Finding, InterCtx};
+use crate::typestate::Finding;
 
 /// The protocol rule names, in reporting order.
-pub const PROTOCOL_RULES: [&str; 4] = [
-    "use-after-unmap",
-    "leak-on-exit",
-    "double-unmap",
-    "sync-before-cpu-read",
-];
+pub const PROTOCOL_RULES: [&str; 2] = ["leak-on-exit", "sync-before-cpu-read"];
 
-/// One handle-escape note tagged with its file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EscapeExport {
-    /// Workspace-relative file.
-    pub file: String,
-    /// The note itself.
-    pub note: EscapeNote,
-}
-
-/// The interprocedural analysis product of one full workspace scan: the
-/// call graph, every function's effect summary, the handle-escape notes,
-/// and the device-taint statistics.
+/// The whole-workspace product of one full scan: the call graph, which
+/// functions read device data, and the device-taint statistics.
 #[derive(Debug, Default)]
 pub struct ProtocolAnalysis {
     /// The workspace call graph.
     pub graph: CallGraph,
-    /// Effect summaries, indexed like `graph.nodes`.
-    pub summaries: Vec<FnSummary>,
-    /// Handles that left the typestate lattice, declared not hidden.
-    pub escapes: Vec<EscapeExport>,
+    /// Per node of `graph`: the function reads device-writable data
+    /// ([`crate::taint::device_readers`]).
+    pub reads_device_data: Vec<bool>,
     /// Aggregate taint numbers across the workspace.
     pub taint: TaintStats,
 }
@@ -57,39 +37,38 @@ pub struct FileProtocol {
     pub violations: Vec<LintViolation>,
     /// Unfiltered findings (what dead-waiver detection counts).
     pub raw: Vec<Finding>,
-    /// Handle-escape notes (interprocedural mode only).
-    pub escapes: Vec<EscapeNote>,
     /// Taint stats for this file.
     pub taint: TaintStats,
 }
 
-/// Runs the protocol checker (and, in interprocedural mode, the taint
-/// pass) over one prepared file. `src` is the raw source (for waiver
-/// comments). Aux files (`tests/`, `benches/`) are exempt: protocol
-/// discipline is a library-code concern, and test code deliberately
-/// constructs broken sequences to feed dmasan.
+/// Runs the protocol checker (and, given the workspace analysis, the
+/// taint pass) over one prepared file. `src` is the raw source (for
+/// waiver comments). Aux files (`tests/`, `benches/`) are exempt:
+/// protocol discipline is a library-code concern, and test code
+/// deliberately constructs broken sequences to feed dmasan.
 pub fn check_file(
     prep: &Prep,
     src: &str,
     ctx: FileContext,
-    inter: Option<&InterCtx<'_>>,
+    analysis: Option<&ProtocolAnalysis>,
 ) -> FileProtocol {
+    let mut fp = FileProtocol {
+        violations: Vec::new(),
+        raw: Vec::new(),
+        taint: TaintStats::default(),
+    };
     if ctx.aux {
-        return FileProtocol {
-            violations: Vec::new(),
-            raw: Vec::new(),
-            escapes: Vec::new(),
-            taint: TaintStats::default(),
-        };
+        return fp;
     }
-    let (mut raw, escapes) = crate::typestate::check_file_inter(prep, inter);
-    let mut taint = TaintStats::default();
-    if let Some(ic) = inter {
-        let (tfindings, tstats) = crate::taint::check_file(prep, Some((ic.graph, ic.summaries)));
-        raw.extend(tfindings);
-        taint = tstats;
+    fp.raw = crate::typestate::check_file(prep);
+    if let Some(a) = analysis {
+        let (tfindings, tstats) =
+            crate::taint::check_file(prep, Some((&a.graph, &a.reads_device_data)));
+        fp.raw.extend(tfindings);
+        fp.taint = tstats;
     }
-    let violations = raw
+    fp.violations = fp
+        .raw
         .iter()
         .filter(|f| !has_rule_waiver(src, f.rule))
         .map(|f| LintViolation {
@@ -99,23 +78,17 @@ pub fn check_file(
             detail: f.detail.clone(),
         })
         .collect();
-    FileProtocol {
-        violations,
-        raw,
-        escapes,
-        taint,
-    }
-}
-
-/// Intraprocedural per-file entry point (the historical signature).
-pub fn check(prep: &Prep, src: &str, ctx: FileContext) -> Vec<LintViolation> {
-    check_file(prep, src, ctx, None).violations
+    fp
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::prep;
+
+    fn check(prep: &Prep, src: &str, ctx: FileContext) -> Vec<LintViolation> {
+        check_file(prep, src, ctx, None).violations
+    }
 
     const LEAKY: &str = "fn f(engine: &E, ctx: &mut C) {\n\
         let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
@@ -147,17 +120,16 @@ mod tests {
         );
         let p = prep("x.rs", &src);
         assert!(check(&p, &src, FileContext::default()).is_empty());
-        // The waiver names its rule; other protocol rules still fire.
-        let uaf = "// lint: allow(leak-on-exit) — reasoned\n\
-            fn f(engine: &E, ctx: &mut C) {\n\
-            let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-            engine.unmap(ctx, m).expect(\"u\");\n\
-            poke(m.iova.get());\n\
+        // The waiver names its rule; the other protocol rule still fires.
+        let unsynced = "// lint: allow(leak-on-exit) — reasoned\n\
+            fn f(engine: &E, mem: &M, ctx: &mut C) {\n\
+            let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::FromDevice).expect(\"m\");\n\
+            let got = mem.read_vec(skb, 64);\n\
             }\n";
-        let p = prep("x.rs", uaf);
-        let v = check(&p, uaf, FileContext::default());
+        let p = prep("x.rs", unsynced);
+        let v = check(&p, unsynced, FileContext::default());
         assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "use-after-unmap");
+        assert_eq!(v[0].rule, "sync-before-cpu-read");
     }
 
     #[test]

@@ -130,13 +130,26 @@ fn phys_addr_ctor_arg(line: &str) -> Option<&str> {
     Some(rest)
 }
 
-/// Lints one `Cargo.toml`: every dependency must resolve in-tree.
+/// Lints one `Cargo.toml`: every dependency must resolve in-tree
+/// (`external-dep`), and a manifest that declares a package must inherit
+/// the workspace lints (`workspace-lints`) — that is where
+/// `unsafe_code = "forbid"` lives, for every target of the package.
 pub fn lint_manifest(label: &str, toml: &str) -> Vec<LintViolation> {
     let mut out = Vec::new();
     let mut in_deps = false;
+    let mut package_line = None;
+    let mut section = "";
+    let mut inherits_lints = false;
     for (idx, raw) in toml.lines().enumerate() {
         let line = raw.trim();
+        let setting = line.replace(' ', "");
+        inherits_lints |= (section == "[lints]" && setting == "workspace=true")
+            || (section.is_empty() && setting == "lints.workspace=true");
         if line.starts_with('[') {
+            section = line;
+            if line == "[package]" {
+                package_line = Some(idx + 1);
+            }
             in_deps = matches!(
                 line,
                 "[dependencies]"
@@ -167,6 +180,16 @@ pub fn lint_manifest(label: &str, toml: &str) -> Vec<LintViolation> {
                 ),
             });
         }
+    }
+    if let (Some(line), false) = (package_line, inherits_lints) {
+        out.push(LintViolation {
+            file: label.to_string(),
+            line,
+            rule: "workspace-lints",
+            detail: "package does not inherit the workspace lints; add `[lints]` with \
+                     `workspace = true` so `unsafe_code = \"forbid\"` applies to it"
+                .to_string(),
+        });
     }
     out
 }
@@ -280,10 +303,30 @@ mod tests {
 
     #[test]
     fn manifest_rejects_external_deps() {
-        let toml = "[package]\nname = \"x\"\n[dependencies]\nobs.workspace = true\nmemsim = { workspace = true }\nlocal = { path = \"../local\" }\nserde = \"1.0\"\n";
+        let toml = "[package]\nname = \"x\"\n[lints]\nworkspace = true\n[dependencies]\nobs.workspace = true\nmemsim = { workspace = true }\nlocal = { path = \"../local\" }\nserde = \"1.0\"\n";
         let v = lint_manifest("Cargo.toml", toml);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "external-dep");
         assert!(v[0].detail.contains("serde"));
+    }
+
+    #[test]
+    fn packages_must_inherit_workspace_lints() {
+        let bare = "[package]\nname = \"x\"\n[dependencies]\nobs.workspace = true\n";
+        let v = lint_manifest("crates/x/Cargo.toml", bare);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "workspace-lints");
+        assert_eq!(v[0].line, 1);
+        for ok in [
+            "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n",
+            "lints.workspace = true\n[package]\nname = \"x\"\n",
+            // A virtual workspace root declares no package.
+            "[workspace]\nmembers = [\"crates/*\"]\n",
+        ] {
+            assert!(lint_manifest("Cargo.toml", ok).is_empty(), "{ok}");
+        }
+        // `workspace = true` elsewhere does not count.
+        let wrong = "[package]\nname = \"x\"\n[dependencies]\nworkspace = true\n";
+        assert_eq!(lint_manifest("Cargo.toml", wrong).len(), 2);
     }
 }

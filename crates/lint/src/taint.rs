@@ -16,16 +16,16 @@
 //!
 //! Sanitizers: a comparison over the tainted value in an `if`/`while`
 //! condition (`idx < table.len()`), or clamping at the definition site
-//! (`.min(…)`, `.clamp(…)`, `% len`). With summaries, a call returning
-//! the payload of a device-reading helper (`reads_device_data`) is also a
-//! source. Findings use the waivable `device-taint` rule.
+//! (`.min(…)`, `.clamp(…)`, `% len`). With the workspace call graph, the
+//! result of a call that resolves to a device-reading function
+//! ([`device_readers`]) is also a source. Findings use the waivable
+//! `device-taint` rule.
 
 use std::collections::BTreeSet;
 
 use crate::callgraph::CallGraph;
 use crate::cfg::{build_trees, extract_functions, Cfg, Stmt, Tree};
 use crate::lexer::Prep;
-use crate::summary::FnSummary;
 use crate::typestate::{detect_bind, scan, Ev, Finding, READ_METHODS};
 
 /// Aggregate numbers for the JSON report.
@@ -153,26 +153,65 @@ fn tainted_in(trees: &[Tree], tainted: &BTreeSet<String>, out: &mut Vec<String>)
     }
 }
 
+/// A function's statements, nested `fn` items excluded (they are
+/// functions of their own).
+fn fn_stmts(cfg: &Cfg) -> Vec<&Stmt> {
+    cfg.blocks
+        .iter()
+        .filter_map(|b| b.stmt.as_ref())
+        .filter(|s| !s.trees.first().is_some_and(|t| t.is_ident("fn")))
+        .collect()
+}
+
+/// The device-writable (`FromDevice`/`Bidirectional`) buffers mapped in
+/// a function.
+fn device_bufs(stmts: &[&Stmt]) -> BTreeSet<String> {
+    stmts
+        .iter()
+        .filter_map(|stmt| detect_bind(&stmt.trees))
+        .filter(|b| b.dir.needs_cpu_sync())
+        .filter_map(|b| b.buf)
+        .collect()
+}
+
+/// Whether a statement's events include a CPU read of one of `bufs`.
+fn reads_any(stmt: &Stmt, bufs: &BTreeSet<String>) -> bool {
+    let mut evs = Vec::new();
+    scan(&stmt.trees, false, &mut evs);
+    evs.iter()
+        .any(|ev| matches!(ev, Ev::Read { head, .. } if head.iter().any(|h| bufs.contains(h))))
+}
+
+/// Which call-graph nodes read CPU-visible data back out of a
+/// device-writable buffer they map, indexed like `graph.nodes`. A caller's
+/// `let v = helper(…)` that resolves to such a function is a taint
+/// source. The bit is local to each function (it is not inherited from
+/// callees), so no call-graph order is needed to compute it.
+pub fn device_readers(graph: &CallGraph) -> Vec<bool> {
+    graph
+        .nodes
+        .iter()
+        .map(|n| {
+            let cfg = Cfg::build(&n.body);
+            let stmts = fn_stmts(&cfg);
+            let bufs = device_bufs(&stmts);
+            !bufs.is_empty() && stmts.iter().any(|s| reads_any(s, &bufs))
+        })
+        .collect()
+}
+
 /// Runs the taint pass over every non-test function in a prepared file.
-/// With `inter`, uniquely-resolved calls to device-reading helpers
-/// (`reads_device_data`) also act as sources.
-pub fn check_file(
-    prep: &Prep,
-    inter: Option<(&CallGraph, &[FnSummary])>,
-) -> (Vec<Finding>, TaintStats) {
+/// With `inter` (the call graph and its [`device_readers`]),
+/// uniquely-resolved calls to device-reading functions also act as
+/// sources.
+pub fn check_file(prep: &Prep, inter: Option<(&CallGraph, &[bool])>) -> (Vec<Finding>, TaintStats) {
     let tokens = crate::lexer::tokenize(&prep.blank);
     let trees = build_trees(&tokens);
     let mut findings = Vec::new();
     let mut stats = TaintStats::default();
     for f in extract_functions(prep, &trees) {
         let cfg = Cfg::build(&f.body);
-        let stmts: Vec<&Stmt> = cfg
-            .blocks
-            .iter()
-            .filter_map(|b| b.stmt.as_ref())
-            .filter(|s| !s.trees.first().is_some_and(|t| t.is_ident("fn")))
-            .collect();
-        check_fn(&f.body, &stmts, inter, &mut findings, &mut stats);
+        check_fn(&f.body, &fn_stmts(&cfg), inter, &mut findings, &mut stats);
     }
     findings.sort_by_key(|f| (f.line, f.detail.clone()));
     findings.dedup();
@@ -182,23 +221,13 @@ pub fn check_file(
 fn check_fn(
     body: &[Tree],
     stmts: &[&Stmt],
-    inter: Option<(&CallGraph, &[FnSummary])>,
+    inter: Option<(&CallGraph, &[bool])>,
     findings: &mut Vec<Finding>,
     stats: &mut TaintStats,
 ) {
-    // Device-writable buffers bound in this function.
-    let mut device_bufs: BTreeSet<String> = BTreeSet::new();
-    for stmt in stmts {
-        if let Some(b) = detect_bind(&stmt.trees, None) {
-            if b.dir.needs_cpu_sync() {
-                if let Some(buf) = b.buf {
-                    device_bufs.insert(buf);
-                }
-            }
-        }
-    }
+    let device_bufs = device_bufs(stmts);
 
-    // Sources: `let v = …read…(device_buf, …)` and, with summaries,
+    // Sources: `let v = …read…(device_buf, …)` and, with the call graph,
     // `let v = helper(…)` where the helper reads device data.
     let mut tainted: BTreeSet<String> = BTreeSet::new();
     for stmt in stmts {
@@ -210,30 +239,21 @@ fn check_fn(
         }
         let mut evs = Vec::new();
         scan(&stmt.trees, false, &mut evs);
-        let mut is_source = false;
-        for ev in &evs {
+        let is_source = evs.iter().any(|ev| {
             match ev {
-                Ev::Read { head, .. } if head.iter().any(|h| device_bufs.contains(h)) => {
-                    is_source = true;
-                }
-                Ev::UserCall {
-                    name,
-                    method,
-                    qualified,
-                    args,
-                    ..
-                } if !qualified => {
-                    if let Some((graph, sums)) = inter {
-                        if let [id] = graph.resolve(name, *method, args.len())[..] {
-                            if sums.get(id).is_some_and(|s| s.reads_device_data) {
-                                is_source = true;
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
+            Ev::Read { head, .. } => head.iter().any(|h| device_bufs.contains(h)),
+            Ev::UserCall {
+                name,
+                method,
+                qualified: false,
+                argc,
+                ..
+            } => inter.is_some_and(|(graph, readers)| {
+                matches!(graph.resolve(name, *method, *argc)[..], [id] if readers[id])
+            }),
+            _ => false,
         }
+        });
         if is_source && tainted.insert(var.to_string()) {
             stats.sources += 1;
         }
@@ -490,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_backed_source_taints_helper_result() {
+    fn device_reading_helper_result_is_a_source() {
         let src = "fn rx_one(mem: &M, engine: &E, ctx: &mut C) -> usize {\n\
                    let m = engine.map(ctx, DmaBuf::new(frame, 256), DmaDirection::FromDevice).expect(\"m\");\n\
                    let data = mem.read_vec(frame, 256);\n\
@@ -504,8 +524,11 @@ mod tests {
                    fn first(d: &[u8]) -> usize { 0 }\n";
         let p = prep("x.rs", src);
         let graph = CallGraph::build(&[(p.clone(), "x".to_string())]);
-        let sums = crate::summary::compute(&graph);
-        let (f, _) = check_file(&p, Some((&graph, &sums)));
+        let readers = device_readers(&graph);
+        let id = |name: &str| graph.nodes.iter().position(|n| n.name == name);
+        assert_eq!(id("rx_one").map(|i| readers[i]), Some(true));
+        assert_eq!(id("caller").map(|i| readers[i]), Some(false));
+        let (f, _) = check_file(&p, Some((&graph, &readers)));
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "device-taint");
         assert_eq!(f[0].line, 9);

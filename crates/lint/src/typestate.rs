@@ -1,62 +1,57 @@
-//! The DMA-API protocol typestate checker.
+//! The DMA-API protocol typestate checker: the two rules the type system
+//! cannot express.
 //!
-//! Tracks the state of DMA handles (`Unmapped → Mapped → SyncedForCpu →
-//! Unmapped`) through local variables over each function's CFG and flags
-//! the static mirror of dmasan's runtime rules:
+//! `DmaMapping` and `CoherentBuffer` are move-only ownership tokens that
+//! `unmap`/`unmap_sg`/`free_coherent` consume, so use-after-unmap and
+//! double-unmap are E0382 compile errors (see the `compile_fail` doctests
+//! on `dma_api::DmaMapping`). What is left for a static pass is what a
+//! move cannot say:
 //!
-//! - **use-after-unmap** — a handle projected (`m.iova`, `m.len`, …) on a
-//!   path after `unmap`/`free_coherent` (dmasan: `stale_access`).
 //! - **leak-on-exit** — a `map`/`alloc_coherent` result that can reach a
 //!   `return`/`?` edge or function exit still mapped, without an unmap or
-//!   an ownership transfer (dmasan: `leak` at teardown).
-//! - **double-unmap** — a handle unmapped twice along some path (dmasan:
-//!   `double_unmap`).
+//!   an ownership transfer (dmasan: `leak` at teardown). Dropping a value
+//!   is legal Rust; `#[must_use]` only covers a result that is never
+//!   bound.
 //! - **sync-before-cpu-read** — a CPU-side read of a streaming
 //!   `FromDevice`/`Bidirectional` buffer while it is mapped and not yet
-//!   `sync_for_cpu`'d. dmasan has no mirror for this rule: the runtime
-//!   cannot observe CPU loads, only device-side bus accesses.
+//!   `sync_for_cpu`'d. The read goes through the buffer's physical
+//!   address, not the handle, so ownership does not see it; dmasan has no
+//!   mirror either, since it observes bus accesses, not CPU loads.
 //!
-//! ## Interprocedural mode
-//!
-//! With an [`InterCtx`] (a workspace [`crate::callgraph::CallGraph`] plus
-//! [`crate::summary`] effect summaries), call sites are resolved instead
-//! of waived: a handle passed to a helper whose summary proves an unmap
-//! keeps being tracked (so a later projection is a use-after-unmap *via*
-//! that helper), a helper that only reads a by-ref handle keeps the leak
-//! obligation with the caller, a `let h = make_mapping(…)` binding whose
-//! callee returns a fresh mapping is tracked like a direct `map`, and a
-//! handle that genuinely escapes — stored, captured by a closure, passed
-//! to an unknown callee — is reported as an [`EscapeNote`] rather than
-//! silently dropped from the lattice.
+//! The pass is intraprocedural. It tracks handles bound in a function
+//! over that function's CFG, with a may-be-mapped state per handle. A
+//! handle passed **by value** (to `unmap`, a helper, a collection, a
+//! closure, a `return`) is a move: ownership leaves with it and tracking
+//! stops, because the compiler guarantees the caller can no longer touch
+//! it. A handle passed **by reference** (`&m`, `&mut m`) stays tracked:
+//! a borrow cannot take ownership of a move-only handle, so the leak
+//! obligation stays with the caller.
 //!
 //! ## Soundness caveats (by design, to keep the pass zero-false-positive)
 //!
-//! The core analysis has **no alias tracking**: only handles bound by a
-//! direct `let h = engine.map(…)` / `alloc_coherent(…)` call chain
-//! (optionally suffixed `?` / `.unwrap()` / `.expect(…)`) — or, with
-//! summaries, by a call returning a fresh mapping — are tracked. Escaped
-//! handles end tracking (now with a note); map results consumed by a
-//! surrounding expression (a `match` scrutinee, a closure wrapper like
+//! Only handles bound by a direct `let h = engine.map(…)` /
+//! `alloc_coherent(…)` call chain (optionally suffixed `?` / `.unwrap()` /
+//! `.expect(…)`) are tracked. Map results consumed by a surrounding
+//! expression (a `match` scrutinee, a closure wrapper like
 //! `obs::profile::scope(…, |ctx| engine.map(…))`) are not tracked at all.
 //! A `map` call is recognized only when its first argument is a `ctx`-ish
 //! identifier and its last argument names a `DmaDirection` (or is the
 //! literal identifier `dir`), which keeps `Iterator::map`, page-table
-//! `map(page, pfn, perms)`, and `perms()`-projected calls out. Summary
-//! application requires a *unique* name+arity resolution; ambiguous names
-//! fall back to the conservative ownership-transfer treatment.
+//! `map(page, pfn, perms)`, and `perms()`-projected calls out. A helper
+//! that syncs a borrowed handle is not seen through: the caller syncs
+//! explicitly before reading.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{closure_at, closure_body_end, CallGraph, INTRINSICS};
-use crate::cfg::{build_trees, extract_functions, Cfg, Stmt, Tree};
+use crate::callgraph::{closure_at, closure_body_end, INTRINSICS};
+use crate::cfg::{build_trees, extract_functions, split_top_level_commas, Cfg, Stmt, Tree};
 use crate::lexer::Prep;
-use crate::summary::{FnSummary, RetEffect};
 
 /// One protocol finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule name: `use-after-unmap`, `leak-on-exit`,
-    /// `double-unmap`, `sync-before-cpu-read`.
+    /// Stable rule name: `leak-on-exit`, `sync-before-cpu-read`, or (from
+    /// the taint pass) `device-taint`.
     pub rule: &'static str,
     /// 1-indexed line.
     pub line: usize,
@@ -64,56 +59,9 @@ pub struct Finding {
     pub detail: String,
 }
 
-/// Why a tracked handle left the analysis: the "escapes analysis" notes
-/// the interprocedural pass reports instead of silently dropping state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EscapeKind {
-    /// Passed to a call that resolved to no workspace function.
-    UnknownCallee,
-    /// Stored, aliased, or passed to a helper that keeps/returns it.
-    Moved,
-    /// Captured by a closure body.
-    ClosureCapture,
-}
-
-impl EscapeKind {
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EscapeKind::UnknownCallee => "unknown-callee",
-            EscapeKind::Moved => "moved",
-            EscapeKind::ClosureCapture => "closure-capture",
-        }
-    }
-}
-
-/// One handle-escape note (not a violation: a declared analysis hole).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EscapeNote {
-    /// Enclosing function.
-    pub function: String,
-    /// 1-indexed line of the escape.
-    pub line: usize,
-    /// The escaping handle variable.
-    pub var: String,
-    /// How it escaped.
-    pub kind: EscapeKind,
-    /// Human-readable description.
-    pub detail: String,
-}
-
-/// The interprocedural context: resolution + summaries, threaded through
-/// the typestate pass when available.
-pub struct InterCtx<'a> {
-    /// The workspace call graph.
-    pub graph: &'a CallGraph,
-    /// Per-node effect summaries, indexed like `graph.nodes`.
-    pub summaries: &'a [FnSummary],
-}
-
 /// Streaming direction of a tracked mapping, as far as the source shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
+pub(crate) enum Dir {
     ToDevice,
     FromDevice,
     Bidirectional,
@@ -127,29 +75,15 @@ impl Dir {
     pub(crate) fn needs_cpu_sync(self) -> bool {
         matches!(self, Dir::FromDevice | Dir::Bidirectional)
     }
-
-    /// Stable name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Dir::ToDevice => "ToDevice",
-            Dir::FromDevice => "FromDevice",
-            Dir::Bidirectional => "Bidirectional",
-            Dir::Unknown => "Unknown",
-            Dir::Coherent => "Coherent",
-        }
-    }
 }
 
-// Typestate bits. A variable's state is the *set* of states it may be in
-// on some path reaching the program point (union join).
-const MAPPED: u8 = 1;
-const UNMAPPED: u8 = 2;
-const SYNCED: u8 = 4;
-
-/// Abstract state of one tracked handle.
+/// Abstract state of one tracked handle. A handle is in the state map
+/// while it may still be mapped on some path reaching the program point;
+/// `unmap` and every move remove it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct VarState {
-    bits: u8,
+    /// `sync_for_cpu` was called on some path since the map.
+    synced: bool,
     dir: Dir,
     /// The identifier passed to `DmaBuf::new(addr, …)` at the map site,
     /// when visible — lets the sync rule connect `mem.read_vec(addr, …)`
@@ -170,9 +104,8 @@ fn join_into(dst: &mut State, src: &State) -> bool {
                 changed = true;
             }
             Some(d) => {
-                let bits = d.bits | v.bits;
-                if bits != d.bits {
-                    d.bits = bits;
+                if v.synced && !d.synced {
+                    d.synced = true;
                     changed = true;
                 }
                 if d.dir != v.dir && d.dir != Dir::Unknown {
@@ -204,33 +137,28 @@ pub(crate) enum CallKind {
 pub(crate) enum Ev {
     /// A recognized DMA call; `args` are the bare identifiers in its
     /// argument list (the tracked one, if any, is the handle).
-    Call {
-        kind: CallKind,
-        args: Vec<String>,
-        line: usize,
-    },
-    /// `v.…` — a projection of `v` (reads the handle's fields).
-    Proj { var: String, line: usize },
-    /// A bare mention of `v` outside any recognized call: potential
-    /// ownership transfer (store, alias, return).
+    Call { kind: CallKind, args: Vec<String> },
+    /// A bare mention of `v` outside any recognized call: a move (store,
+    /// alias, return).
     Bare { var: String },
     /// A CPU-side memory read; `head` are the identifiers of its first
     /// argument (the address expression).
     Read { head: Vec<String>, line: usize },
     /// A call that is not a DMA intrinsic: `name(…)` or `recv.name(…)`.
-    /// `args` holds the simple-identifier form of each top-level argument
-    /// (`m`, `&m`, `&mut m`), `None` for anything more complex.
     UserCall {
         name: String,
         method: bool,
         /// Free call preceded by a `::` path segment (resolution skipped:
         /// the path may name a foreign type's constructor).
         qualified: bool,
-        args: Vec<Option<String>>,
-        line: usize,
+        /// Number of top-level arguments (receiver excluded).
+        argc: usize,
+        /// Arguments passed by value as a bare identifier (`m`): moves.
+        /// Borrowed ones (`&m`, `&mut m`) produce no event at all.
+        moved: Vec<String>,
     },
     /// A closure body mentioning `vars` (its own parameters excluded).
-    ClosureCapture { vars: Vec<String>, line: usize },
+    ClosureCapture { vars: Vec<String> },
 }
 
 fn ident_of(t: &Tree) -> Option<&str> {
@@ -240,33 +168,31 @@ fn ident_of(t: &Tree) -> Option<&str> {
     }
 }
 
-/// Splits a call's argument trees at top-level commas.
-pub(crate) fn split_args(children: &[Tree]) -> Vec<&[Tree]> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for (k, t) in children.iter().enumerate() {
-        if t.is_punct(",") {
-            out.push(&children[start..k]);
-            start = k + 1;
-        }
-    }
-    if start < children.len() {
-        out.push(&children[start..]);
-    }
-    out
+/// A call argument that is a bare identifier: `x` (a move) or `&x` /
+/// `&mut x` (a borrow).
+enum SimpleArg<'t> {
+    Moved(&'t str),
+    Borrowed,
 }
 
-/// The bare identifier of an argument of the form `x`, `&x`, or `&mut x`.
-pub(crate) fn simple_arg_ident(arg: &[Tree]) -> Option<String> {
+fn simple_arg(arg: &[Tree]) -> Option<SimpleArg<'_>> {
     let mut s = arg;
+    let mut borrowed = false;
     while s
         .first()
         .is_some_and(|t| t.is_punct("&") || t.is_ident("mut"))
     {
+        borrowed |= s[0].is_punct("&");
         s = &s[1..];
     }
     match s {
-        [t] => ident_of(t).map(str::to_string),
+        [t] => ident_of(t).map(|name| {
+            if borrowed {
+                SimpleArg::Borrowed
+            } else {
+                SimpleArg::Moved(name)
+            }
+        }),
         _ => None,
     }
 }
@@ -274,7 +200,7 @@ pub(crate) fn simple_arg_ident(arg: &[Tree]) -> Option<String> {
 /// First argument is `ctx`-flavored: an identifier ending in `ctx`
 /// (`ctx`, `setup_ctx`, `&mut ctx`, `r.ctx`).
 fn ctx_first_arg(children: &[Tree]) -> bool {
-    let args = split_args(children);
+    let args = split_top_level_commas(children);
     let Some(first) = args.first() else {
         return false;
     };
@@ -285,8 +211,8 @@ fn ctx_first_arg(children: &[Tree]) -> bool {
 
 /// Last argument names a direction: mentions `DmaDirection` or is exactly
 /// the identifier `dir`. Rejects `dir.perms()` and friends.
-pub(crate) fn dir_last_arg(children: &[Tree]) -> Option<Dir> {
-    let args = split_args(children);
+fn dir_last_arg(children: &[Tree]) -> Option<Dir> {
+    let args = split_top_level_commas(children);
     let last = args.last()?;
     if let Some(k) = last.iter().position(|t| t.is_ident("DmaDirection")) {
         let name = last.get(k + 2).and_then(ident_of).unwrap_or("");
@@ -304,7 +230,7 @@ pub(crate) fn dir_last_arg(children: &[Tree]) -> Option<Dir> {
 }
 
 /// The identifier handed to `DmaBuf::new(addr, …)` inside map args.
-pub(crate) fn dma_buf_ident(children: &[Tree]) -> Option<String> {
+fn dma_buf_ident(children: &[Tree]) -> Option<String> {
     let mut i = 0;
     while i < children.len() {
         if children[i].is_ident("DmaBuf")
@@ -332,23 +258,20 @@ pub(crate) fn dma_buf_ident(children: &[Tree]) -> Option<String> {
 }
 
 /// Classifies a method call; `None` means not a DMA-API call.
-pub(crate) fn dma_call_kind(name: &str, children: &[Tree]) -> Option<CallKind> {
-    if MAP_METHODS.contains(&name) && ctx_first_arg(children) {
-        if name == "alloc_coherent" || dir_last_arg(children).is_some() {
-            return Some(CallKind::Map);
-        }
+fn dma_call_kind(name: &str, children: &[Tree]) -> Option<CallKind> {
+    if !ctx_first_arg(children) {
         return None;
     }
-    if UNMAP_METHODS.contains(&name) && ctx_first_arg(children) {
-        return Some(CallKind::Unmap);
+    if MAP_METHODS.contains(&name) {
+        return (name == "alloc_coherent" || dir_last_arg(children).is_some())
+            .then_some(CallKind::Map);
     }
-    if name == "sync_for_cpu" && ctx_first_arg(children) {
-        return Some(CallKind::SyncCpu);
+    match name {
+        _ if UNMAP_METHODS.contains(&name) => Some(CallKind::Unmap),
+        "sync_for_cpu" => Some(CallKind::SyncCpu),
+        "sync_for_device" => Some(CallKind::SyncDev),
+        _ => None,
     }
-    if name == "sync_for_device" && ctx_first_arg(children) {
-        return Some(CallKind::SyncDev);
-    }
-    None
 }
 
 /// All bare identifiers in a tree slice (recursing into groups).
@@ -383,21 +306,14 @@ const CALL_KEYWORDS: [&str; 12] = [
     "if", "while", "for", "match", "return", "fn", "in", "as", "move", "loop", "let", "else",
 ];
 
-/// Per-argument simple identifiers for a user call.
-fn arg_idents(children: &[Tree]) -> Vec<Option<String>> {
-    split_args(children)
-        .iter()
-        .map(|a| simple_arg_ident(a))
-        .collect()
-}
-
-/// Left-to-right event extraction over a statement's trees.
+/// Left-to-right event extraction over a statement's trees. Inside a DMA
+/// call's arguments (`in_dma_args`) bare mentions belong to the call.
 pub(crate) fn scan(trees: &[Tree], in_dma_args: bool, evs: &mut Vec<Ev>) {
     let mut i = 0;
     while i < trees.len() {
         // Closure header: emit the capture event, skip the `|…|` header,
         // and let the body tokens be scanned normally below (so DMA calls
-        // inside closures keep their historical inline treatment).
+        // inside closures keep their inline treatment).
         if let Some((params_end, params_start)) = closure_at(trees, i) {
             let params: Vec<String> = trees[params_start..params_end]
                 .iter()
@@ -408,10 +324,7 @@ pub(crate) fn scan(trees: &[Tree], in_dma_args: bool, evs: &mut Vec<Ev>) {
             all_idents(&trees[params_end + 1..body_end], &mut vars);
             vars.retain(|v| !params.contains(v));
             vars.dedup();
-            evs.push(Ev::ClosureCapture {
-                vars,
-                line: trees[i].line(),
-            });
+            evs.push(Ev::ClosureCapture { vars });
             i = params_end + 1;
             continue;
         }
@@ -426,36 +339,29 @@ pub(crate) fn scan(trees: &[Tree], in_dma_args: bool, evs: &mut Vec<Ev>) {
                 }),
             ) = (trees.get(i + 1).and_then(ident_of), trees.get(i + 2))
             {
-                let line = trees[i + 1].line();
                 if let Some(kind) = dma_call_kind(name, children) {
                     let mut args = Vec::new();
                     bare_idents(children, &mut args);
-                    evs.push(Ev::Call { kind, args, line });
-                    // Projections inside DMA args still count as uses;
-                    // bare mentions are consumed by the call.
+                    evs.push(Ev::Call { kind, args });
                     scan(children, true, evs);
                     i += 3;
                     continue;
                 }
                 if READ_METHODS.contains(&name) {
                     let mut head = Vec::new();
-                    if let Some(first) = split_args(children).first() {
+                    if let Some(first) = split_top_level_commas(children).first() {
                         bare_idents(first, &mut head);
                     }
-                    evs.push(Ev::Read { head, line });
+                    evs.push(Ev::Read {
+                        head,
+                        line: trees[i + 1].line(),
+                    });
                     scan(children, in_dma_args, evs);
                     i += 3;
                     continue;
                 }
                 if !in_dma_args {
-                    evs.push(Ev::UserCall {
-                        name: name.to_string(),
-                        method: true,
-                        qualified: false,
-                        args: arg_idents(children),
-                        line,
-                    });
-                    scan_call_args(children, evs);
+                    user_call(name, true, false, children, evs);
                     i += 3;
                     continue;
                 }
@@ -465,26 +371,17 @@ pub(crate) fn scan(trees: &[Tree], in_dma_args: bool, evs: &mut Vec<Ev>) {
         }
         match &trees[i] {
             Tree::Tok(tok) if tok.is_ident => {
+                // `v.…` projects the handle (reads a field, calls a
+                // method on it): no ownership effect.
                 let projected = trees.get(i + 1).is_some_and(|n| n.is_punct("."));
                 let called = matches!(trees.get(i + 1), Some(Tree::Group { delim: '(', .. }))
                     && !CALL_KEYWORDS.contains(&tok.text.as_str());
                 if projected {
-                    evs.push(Ev::Proj {
-                        var: tok.text.clone(),
-                        line: tok.line,
-                    });
                     i += 1;
                 } else if called && !in_dma_args {
                     let qualified = i > 0 && trees[i - 1].is_punct("::");
                     if let Some(Tree::Group { children, .. }) = trees.get(i + 1) {
-                        evs.push(Ev::UserCall {
-                            name: tok.text.clone(),
-                            method: false,
-                            qualified,
-                            args: arg_idents(children),
-                            line: tok.line,
-                        });
-                        scan_call_args(children, evs);
+                        user_call(&tok.text, false, qualified, children, evs);
                     }
                     i += 2;
                 } else {
@@ -507,12 +404,27 @@ pub(crate) fn scan(trees: &[Tree], in_dma_args: bool, evs: &mut Vec<Ev>) {
     }
 }
 
-/// Scans a user call's argument list: simple-identifier arguments are
-/// owned by the `UserCall` event itself (so the transfer function decides
-/// their fate from the callee summary); everything else scans normally.
-fn scan_call_args(children: &[Tree], evs: &mut Vec<Ev>) {
-    for arg in split_args(children) {
-        if simple_arg_ident(arg).is_none() {
+/// Emits a user call: bare-identifier arguments are moves (owned by the
+/// event), borrowed ones stay with the caller, and anything more complex
+/// scans normally.
+fn user_call(name: &str, method: bool, qualified: bool, children: &[Tree], evs: &mut Vec<Ev>) {
+    let args = split_top_level_commas(children);
+    let moved = args
+        .iter()
+        .filter_map(|a| match simple_arg(a) {
+            Some(SimpleArg::Moved(v)) => Some(v.to_string()),
+            _ => None,
+        })
+        .collect();
+    evs.push(Ev::UserCall {
+        name: name.to_string(),
+        method,
+        qualified,
+        argc: args.len(),
+        moved,
+    });
+    for arg in args {
+        if simple_arg(arg).is_none() {
             scan(arg, false, evs);
         }
     }
@@ -528,11 +440,10 @@ pub(crate) struct Bind {
 }
 
 /// Detects a trackable map binding in a statement: `let h = <chain>.map(…)`
-/// (modulo `?`/`.unwrap()`/`.expect(…)` suffixes), or — with summaries —
-/// `let h = make_mapping(…)` where the callee provably returns a fresh
-/// mapping. The RHS must *end* with the recognized call so results
-/// consumed by a larger expression are left untracked.
-pub(crate) fn detect_bind(trees: &[Tree], inter: Option<&InterCtx>) -> Option<Bind> {
+/// (modulo `?`/`.unwrap()`/`.expect(…)` suffixes). The RHS must *end*
+/// with the map call so results consumed by a larger expression are left
+/// untracked.
+pub(crate) fn detect_bind(trees: &[Tree]) -> Option<Bind> {
     if !trees.first()?.is_ident("let") {
         return None;
     }
@@ -545,118 +456,43 @@ pub(crate) fn detect_bind(trees: &[Tree], inter: Option<&InterCtx>) -> Option<Bi
         return None;
     }
     let rhs = &trees[j + 2..];
-    match last_call(rhs)? {
-        TailCall::Map {
-            name,
-            children,
-            line,
-        } => {
-            let dir = if name == "alloc_coherent" {
-                Dir::Coherent
-            } else {
-                dir_last_arg(children).unwrap_or(Dir::Unknown)
-            };
-            Some(Bind {
-                var,
-                dir,
-                buf: dma_buf_ident(children),
-                line,
-            })
-        }
-        // Summary-backed binding: the RHS ends with a uniquely-resolved
-        // call whose return slot is a fresh mapping.
-        TailCall::User {
-            name,
-            method,
-            qualified,
-            argc,
-            line,
-        } => {
-            let ic = inter?;
-            if qualified {
-                return None;
-            }
-            let [id] = ic.graph.resolve(name, method, argc)[..] else {
-                return None;
-            };
-            match ic.summaries.get(id)?.ret {
-                RetEffect::FreshMapped { dir } => Some(Bind {
-                    var,
-                    dir,
-                    // The callee-side buffer identifier is meaningless in
-                    // this scope; the sync rule stays quiet here.
-                    buf: None,
-                    line,
-                }),
-                _ => None,
-            }
-        }
-    }
-}
-
-/// The call an expression *ends* with (modulo `?` / `.unwrap()` /
-/// `.expect(…)` suffixes), at top level.
-enum TailCall<'t> {
-    /// A recognized DMA map call.
-    Map {
-        name: &'t str,
-        children: &'t [Tree],
-        line: usize,
-    },
-    /// Any other call (candidate for summary resolution).
-    User {
-        name: &'t str,
-        method: bool,
-        qualified: bool,
-        argc: usize,
-        line: usize,
-    },
-}
-
-fn last_call(rhs: &[Tree]) -> Option<TailCall<'_>> {
-    let mut found = None;
-    let mut k = 0;
-    while k + 1 < rhs.len() {
-        if let (
+    // The last call in the RHS; only a map call is a binding.
+    let mut last = None;
+    for k in 0..rhs.len().saturating_sub(1) {
+        let (
             Some(name),
             Some(Tree::Group {
                 delim: '(',
                 children,
                 ..
             }),
-        ) = (rhs.get(k).and_then(ident_of), rhs.get(k + 1))
+        ) = (ident_of(&rhs[k]), rhs.get(k + 1))
+        else {
+            continue;
+        };
+        let method = k > 0 && rhs[k - 1].is_punct(".");
+        if method && MAP_METHODS.contains(&name) && dma_call_kind(name, children).is_some() {
+            let dir = if name == "alloc_coherent" {
+                Dir::Coherent
+            } else {
+                dir_last_arg(children).unwrap_or(Dir::Unknown)
+            };
+            let bind = Bind {
+                var: var.clone(),
+                dir,
+                buf: dma_buf_ident(children),
+                line: rhs[k].line(),
+            };
+            last = Some((k, Some(bind)));
+        } else if !CALL_KEYWORDS.contains(&name)
+            && !INTRINSICS.contains(&name)
+            && !READ_METHODS.contains(&name)
+            && !(method && (name == "unwrap" || name == "expect"))
         {
-            let method = k > 0 && rhs[k - 1].is_punct(".");
-            if method && MAP_METHODS.contains(&name) && dma_call_kind(name, children).is_some() {
-                found = Some((
-                    k,
-                    TailCall::Map {
-                        name,
-                        children,
-                        line: rhs[k].line(),
-                    },
-                ));
-            } else if !CALL_KEYWORDS.contains(&name)
-                && !INTRINSICS.contains(&name)
-                && !READ_METHODS.contains(&name)
-                && !(method && (name == "unwrap" || name == "expect"))
-            {
-                let qualified = !method && k > 0 && rhs[k - 1].is_punct("::");
-                found = Some((
-                    k,
-                    TailCall::User {
-                        name,
-                        method,
-                        qualified,
-                        argc: split_args(children).len(),
-                        line: rhs[k].line(),
-                    },
-                ));
-            }
+            last = Some((k, None));
         }
-        k += 1;
     }
-    let (at, call) = found?;
+    let (at, bind) = last?;
     // Only panic/try suffixes may follow the call.
     let mut s = at + 2;
     while s < rhs.len() {
@@ -674,42 +510,7 @@ fn last_call(rhs: &[Tree]) -> Option<TailCall<'_>> {
             return None;
         }
     }
-    Some(call)
-}
-
-/// The [`crate::summary::RetEffect`] of a return-position expression, for
-/// the summary pass: `FreshMapped` when it ends with a recognized map
-/// call or a uniquely-resolved callee whose summary proves one.
-pub(crate) fn tail_call_effect(
-    trees: &[Tree],
-    graph: &CallGraph,
-    sums: &[FnSummary],
-) -> Option<RetEffect> {
-    match last_call(trees)? {
-        TailCall::Map { name, children, .. } => {
-            let dir = if name == "alloc_coherent" {
-                Dir::Coherent
-            } else {
-                dir_last_arg(children).unwrap_or(Dir::Unknown)
-            };
-            Some(RetEffect::FreshMapped { dir })
-        }
-        TailCall::User {
-            name,
-            method,
-            qualified,
-            argc,
-            ..
-        } => {
-            if qualified {
-                return None;
-            }
-            match graph.resolve(name, method, argc)[..] {
-                [id] => Some(sums.get(id)?.ret),
-                _ => None,
-            }
-        }
-    }
+    bind
 }
 
 /// Collects findings with per-function leak dedup (one leak report per
@@ -717,11 +518,8 @@ pub(crate) fn tail_call_effect(
 #[derive(Default)]
 struct Reporter {
     findings: Vec<Finding>,
-    notes: Vec<EscapeNote>,
     leaked: BTreeSet<(String, usize)>,
     seen: BTreeSet<(&'static str, usize, String)>,
-    seen_notes: BTreeSet<(usize, String)>,
-    function: String,
 }
 
 impl Reporter {
@@ -744,313 +542,68 @@ impl Reporter {
             );
         }
     }
-
-    fn note(&mut self, line: usize, var: &str, kind: EscapeKind, detail: String) {
-        if self.seen_notes.insert((line, var.to_string())) {
-            self.notes.push(EscapeNote {
-                function: self.function.clone(),
-                line,
-                var: var.to_string(),
-                kind,
-                detail,
-            });
-        }
-    }
-}
-
-/// The per-slot verdict after consulting a uniquely-resolved callee.
-enum SlotVerdict {
-    /// The callee provably unmaps on every path and keeps nothing.
-    Unmaps,
-    /// The callee may sync/read but keeps no ownership; by-ref argument.
-    Reads { syncs_cpu: bool },
-    /// The callee takes the handle by value and drops it untouched.
-    DropsByValue { free_call: bool },
-    /// The callee stores, returns, or conditionally releases the handle.
-    Keeps,
-}
-
-fn slot_verdict(ic: &InterCtx, id: usize, slot: usize) -> SlotVerdict {
-    let Some(e) = ic.summaries.get(id).and_then(|s| s.params.get(slot)) else {
-        return SlotVerdict::Keeps;
-    };
-    if e.escapes || e.returned {
-        return SlotVerdict::Keeps;
-    }
-    if e.must_unmap {
-        return SlotVerdict::Unmaps;
-    }
-    if e.may_unmap {
-        return SlotVerdict::Keeps; // conditional release: can't track further
-    }
-    let by_ref = ic.graph.nodes[id]
-        .params
-        .get(slot)
-        .map(|p| p.by_ref)
-        .unwrap_or(false);
-    if by_ref {
-        SlotVerdict::Reads {
-            syncs_cpu: e.syncs_cpu,
-        }
-    } else {
-        SlotVerdict::DropsByValue {
-            free_call: ic.graph.nodes[id]
-                .params
-                .first()
-                .is_none_or(|p| p.name != "self"),
-        }
-    }
 }
 
 /// Applies one statement's events to `state`; reports findings when `rep`
 /// is set. Returns the statement's map binding *unapplied*: the caller
 /// applies it to the fallthrough state only, since on the `?` error edge
 /// the handle was never mapped.
-fn transfer(
-    state: &mut State,
-    stmt: &Stmt,
-    inter: Option<&InterCtx>,
-    mut rep: Option<&mut Reporter>,
-) -> Option<Bind> {
+fn transfer(state: &mut State, stmt: &Stmt, mut rep: Option<&mut Reporter>) -> Option<Bind> {
     if stmt.trees.first().is_some_and(|t| t.is_ident("fn")) {
         return None; // nested fn item: analyzed as its own function
     }
-    let bind = detect_bind(&stmt.trees, inter);
-    let ret_pos = stmt.is_return || stmt.is_tail;
+    let bind = detect_bind(&stmt.trees);
+    // The binding's own variable is not yet live on this statement.
+    let moved = |state: &mut State, var: &str| {
+        if bind.as_ref().is_none_or(|b| b.var != var) {
+            state.remove(var);
+        }
+    };
     let mut evs = Vec::new();
     scan(&stmt.trees, false, &mut evs);
     for ev in &evs {
         match ev {
-            Ev::Call { kind, args, line } => match kind {
-                CallKind::Map => {}
-                CallKind::Unmap => {
-                    for a in args {
-                        if let Some(st) = state.get_mut(a) {
-                            if st.bits & UNMAPPED != 0 {
-                                if let Some(r) = rep.as_deref_mut() {
-                                    r.push(
-                                        "double-unmap",
-                                        *line,
-                                        format!("handle `{a}` already unmapped on some path reaching this unmap"),
-                                    );
-                                }
+            Ev::Call { kind, args } => {
+                for a in args {
+                    match kind {
+                        CallKind::Map => {}
+                        CallKind::Unmap => {
+                            state.remove(a);
+                        }
+                        CallKind::SyncCpu | CallKind::SyncDev => {
+                            if let Some(st) = state.get_mut(a) {
+                                st.synced = *kind == CallKind::SyncCpu;
                             }
-                            st.bits = UNMAPPED;
-                        }
-                    }
-                }
-                CallKind::SyncCpu => {
-                    for a in args {
-                        if let Some(st) = state.get_mut(a) {
-                            st.bits |= SYNCED;
-                        }
-                    }
-                }
-                CallKind::SyncDev => {
-                    for a in args {
-                        if let Some(st) = state.get_mut(a) {
-                            st.bits &= !SYNCED;
-                        }
-                    }
-                }
-            },
-            Ev::Proj { var, line } => {
-                if let Some(st) = state.get(var) {
-                    if st.bits & UNMAPPED != 0 {
-                        if let Some(r) = rep.as_deref_mut() {
-                            r.push(
-                                "use-after-unmap",
-                                *line,
-                                format!("handle `{var}` projected after unmap on some path (stale IOVA/token)"),
-                            );
                         }
                     }
                 }
             }
             Ev::Read { head, line } => {
-                if let Some(r) = rep.as_deref_mut() {
-                    for (var, st) in state.iter() {
-                        let hit = st.buf.as_ref().is_some_and(|b| head.iter().any(|h| h == b));
-                        if hit
-                            && st.bits & MAPPED != 0
-                            && st.bits & SYNCED == 0
-                            && st.dir.needs_cpu_sync()
-                        {
-                            r.push(
-                                "sync-before-cpu-read",
-                                *line,
-                                format!(
-                                    "CPU read of streaming buffer `{}` while `{var}` is mapped \
-                                     {:?} without sync_for_cpu",
-                                    st.buf.as_deref().unwrap_or("?"),
-                                    st.dir
-                                ),
-                            );
-                        }
+                let Some(r) = rep.as_deref_mut() else {
+                    continue;
+                };
+                for (var, st) in state.iter() {
+                    let hit = st.buf.as_ref().is_some_and(|b| head.iter().any(|h| h == b));
+                    if hit && !st.synced && st.dir.needs_cpu_sync() {
+                        r.push(
+                            "sync-before-cpu-read",
+                            *line,
+                            format!(
+                                "CPU read of streaming buffer `{}` while `{var}` is mapped \
+                                 {:?} without sync_for_cpu",
+                                st.buf.as_deref().unwrap_or("?"),
+                                st.dir
+                            ),
+                        );
                     }
                 }
             }
-            Ev::UserCall {
-                name,
-                method,
-                qualified,
-                args,
-                line,
-            } => {
-                let resolvable = !*qualified
-                    && !INTRINSICS.contains(&name.as_str())
-                    && !READ_METHODS.contains(&name.as_str());
-                let unique = inter.filter(|_| resolvable).and_then(|ic| {
-                    let c = ic.graph.resolve(name, *method, args.len());
-                    match c[..] {
-                        [id] => Some((ic, id)),
-                        _ => None,
-                    }
-                });
-                for (k, arg) in args.iter().enumerate() {
-                    let Some(a) = arg else { continue };
-                    if bind.as_ref().is_some_and(|b| &b.var == a) || !state.contains_key(a) {
-                        continue;
-                    }
-                    match unique {
-                        Some((ic, id)) => {
-                            let slot = k + usize::from(*method);
-                            match slot_verdict(ic, id, slot) {
-                                SlotVerdict::Unmaps => {
-                                    if let Some(st) = state.get_mut(a) {
-                                        if st.bits & UNMAPPED != 0 {
-                                            if let Some(r) = rep.as_deref_mut() {
-                                                r.push(
-                                                    "double-unmap",
-                                                    *line,
-                                                    format!(
-                                                        "handle `{a}` already unmapped on some \
-                                                         path is unmapped again via `{name}`"
-                                                    ),
-                                                );
-                                            }
-                                        }
-                                        st.bits = UNMAPPED;
-                                    }
-                                }
-                                SlotVerdict::Reads { syncs_cpu } => {
-                                    if syncs_cpu {
-                                        if let Some(st) = state.get_mut(a) {
-                                            st.bits |= SYNCED;
-                                        }
-                                    }
-                                    // Ownership stays here: keep tracking,
-                                    // the leak obligation is still ours.
-                                }
-                                SlotVerdict::DropsByValue { free_call } => {
-                                    if free_call {
-                                        if let Some(st) = state.get(a).cloned() {
-                                            if st.bits & MAPPED != 0 {
-                                                if let Some(r) = rep.as_deref_mut() {
-                                                    if r.leaked.insert((a.clone(), st.born_line)) {
-                                                        r.push(
-                                                            "leak-on-exit",
-                                                            *line,
-                                                            format!(
-                                                                "mapping `{a}` (mapped at line {}) \
-                                                                 moved into `{name}`, which drops \
-                                                                 it still mapped",
-                                                                st.born_line
-                                                            ),
-                                                        );
-                                                    }
-                                                }
-                                            }
-                                        }
-                                        state.remove(a);
-                                    } else {
-                                        // Method resolution is name+arity
-                                        // only: too weak to blame a drop.
-                                        if let Some(r) = rep.as_deref_mut() {
-                                            if !ret_pos {
-                                                r.note(
-                                                    *line,
-                                                    a,
-                                                    EscapeKind::Moved,
-                                                    format!("moved into method `{name}`"),
-                                                );
-                                            }
-                                        }
-                                        state.remove(a);
-                                    }
-                                }
-                                SlotVerdict::Keeps => {
-                                    if let Some(r) = rep.as_deref_mut() {
-                                        if !ret_pos {
-                                            r.note(
-                                                *line,
-                                                a,
-                                                EscapeKind::Moved,
-                                                format!(
-                                                    "passed to `{name}`, which stores, returns, \
-                                                     or conditionally releases it"
-                                                ),
-                                            );
-                                        }
-                                    }
-                                    state.remove(a);
-                                }
-                            }
-                        }
-                        None => {
-                            // Unresolved (or ambiguous) callee: ownership
-                            // transfer, declared as a note when the
-                            // interprocedural pass is on.
-                            if inter.is_some() && !ret_pos && resolvable {
-                                if let Some(r) = rep.as_deref_mut() {
-                                    r.note(
-                                        *line,
-                                        a,
-                                        EscapeKind::UnknownCallee,
-                                        format!("passed to unresolved callee `{name}`"),
-                                    );
-                                }
-                            }
-                            state.remove(a);
-                        }
-                    }
-                }
-            }
-            Ev::ClosureCapture { vars, line } => {
+            Ev::UserCall { moved: vars, .. } | Ev::ClosureCapture { vars } => {
                 for v in vars {
-                    if bind.as_ref().is_some_and(|b| &b.var == v) || !state.contains_key(v) {
-                        continue;
-                    }
-                    if inter.is_some() {
-                        if let Some(r) = rep.as_deref_mut() {
-                            r.note(
-                                *line,
-                                v,
-                                EscapeKind::ClosureCapture,
-                                "captured by a closure body".to_string(),
-                            );
-                        }
-                    }
-                    state.remove(v);
+                    moved(state, v);
                 }
             }
-            Ev::Bare { var } => {
-                // Ownership transfer: stop tracking. The bind's own var
-                // is not yet live on this statement.
-                if bind.as_ref().is_none_or(|b| &b.var != var) && state.contains_key(var) {
-                    if inter.is_some() && !ret_pos {
-                        if let Some(r) = rep.as_deref_mut() {
-                            r.note(
-                                stmt.line,
-                                var,
-                                EscapeKind::Moved,
-                                "stored or aliased outside the tracked scope".to_string(),
-                            );
-                        }
-                    }
-                    state.remove(var);
-                }
-            }
+            Ev::Bare { var } => moved(state, var),
         }
     }
     bind
@@ -1060,7 +613,7 @@ fn apply_bind(state: &mut State, b: Bind) {
     state.insert(
         b.var,
         VarState {
-            bits: MAPPED,
+            synced: false,
             dir: b.dir,
             buf: b.buf,
             born_line: b.line,
@@ -1070,9 +623,7 @@ fn apply_bind(state: &mut State, b: Bind) {
 
 fn leak_check(state: &State, line: usize, what: &str, rep: &mut Reporter) {
     for (var, st) in state.iter() {
-        if st.bits & MAPPED != 0 {
-            rep.leak(var, st, line, what);
-        }
+        rep.leak(var, st, line, what);
     }
 }
 
@@ -1084,13 +635,12 @@ fn block_out(
     cfg: &Cfg,
     b: usize,
     mut st: State,
-    inter: Option<&InterCtx>,
     mut rep: Option<&mut Reporter>,
 ) -> (State, Option<State>) {
     let Some(stmt) = &cfg.blocks[b].stmt else {
         return (st, None);
     };
-    let bind = transfer(&mut st, stmt, inter, rep.as_deref_mut());
+    let bind = transfer(&mut st, stmt, rep.as_deref_mut());
     let mut try_out = None;
     if stmt.has_try {
         if let Some(r) = rep.as_deref_mut() {
@@ -1110,7 +660,7 @@ fn block_out(
 }
 
 /// Runs the typestate pass over one function's CFG.
-fn check_cfg(cfg: &Cfg, inter: Option<&InterCtx>, rep: &mut Reporter) {
+fn check_cfg(cfg: &Cfg, rep: &mut Reporter) {
     let n = cfg.blocks.len();
     let mut ins: Vec<State> = vec![State::new(); n];
     // Fixpoint: propagate out-states along edges until stable.
@@ -1120,7 +670,7 @@ fn check_cfg(cfg: &Cfg, inter: Option<&InterCtx>, rep: &mut Reporter) {
         changed = false;
         rounds += 1;
         for b in 0..n {
-            let (out, try_out) = block_out(cfg, b, ins[b].clone(), inter, None);
+            let (out, try_out) = block_out(cfg, b, ins[b].clone(), None);
             if let Some(t) = try_out {
                 if join_into(&mut ins[cfg.exit], &t) {
                     changed = true;
@@ -1140,40 +690,27 @@ fn check_cfg(cfg: &Cfg, inter: Option<&InterCtx>, rep: &mut Reporter) {
         if b == cfg.exit {
             continue;
         }
-        block_out(cfg, b, in_state.clone(), inter, Some(rep));
+        block_out(cfg, b, in_state.clone(), Some(rep));
     }
     // Handles still mapped at the exit join that no explicit edge already
     // reported (e.g. a fallthrough that ends the function with the handle
     // live) are anchored at the map site.
-    let exit_state = ins[cfg.exit].clone();
-    for (var, vs) in exit_state.iter() {
-        if vs.bits & MAPPED != 0 {
-            rep.leak(var, vs, vs.born_line, "function exit");
-        }
+    for (var, vs) in &ins[cfg.exit] {
+        rep.leak(var, vs, vs.born_line, "function exit");
     }
 }
 
 /// Runs the DMA protocol checker over every non-test function in a
-/// prepared file (intraprocedural mode — no call resolution).
+/// prepared file.
 pub fn check_file(prep: &Prep) -> Vec<Finding> {
-    check_file_inter(prep, None).0
-}
-
-/// Runs the DMA protocol checker over a prepared file, resolving calls
-/// through `inter` when given. Returns the findings plus the handle
-/// escape notes (always empty without `inter`).
-pub fn check_file_inter(prep: &Prep, inter: Option<&InterCtx>) -> (Vec<Finding>, Vec<EscapeNote>) {
     let tokens = crate::lexer::tokenize(&prep.blank);
     let trees = build_trees(&tokens);
     let mut rep = Reporter::default();
     for f in extract_functions(prep, &trees) {
-        let cfg = Cfg::build(&f.body);
-        rep.function = f.name.clone();
-        check_cfg(&cfg, inter, &mut rep);
+        check_cfg(&Cfg::build(&f.body), &mut rep);
     }
     rep.findings.sort_by_key(|f| (f.line, f.rule));
-    rep.notes.sort_by_key(|n| n.line);
-    (rep.findings, rep.notes)
+    rep.findings
 }
 
 #[cfg(test)]
@@ -1189,18 +726,6 @@ mod tests {
         run(src).into_iter().map(|f| f.rule).collect()
     }
 
-    /// Runs the checker in interprocedural mode over one file.
-    fn run_inter(src: &str) -> (Vec<Finding>, Vec<EscapeNote>) {
-        let p = prep("x.rs", src);
-        let graph = CallGraph::build(&[(p.clone(), "x".to_string())]);
-        let summaries = crate::summary::compute(&graph);
-        let inter = InterCtx {
-            graph: &graph,
-            summaries: &summaries,
-        };
-        check_file_inter(&p, Some(&inter))
-    }
-
     #[test]
     fn clean_map_unmap_is_silent() {
         let src = "fn f(engine: &E, ctx: &mut C) -> Result<(), E> {\n\
@@ -1210,19 +735,6 @@ mod tests {
                    Ok(())\n\
                    }\n";
         assert_eq!(rules(src), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn use_after_unmap_is_flagged() {
-        let src = "fn f(engine: &E, ctx: &mut C) {\n\
-                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
-                   poke(m.iova.get());\n\
-                   }\n";
-        let f = run(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "use-after-unmap");
-        assert_eq!(f[0].line, 4);
     }
 
     #[test]
@@ -1266,8 +778,9 @@ mod tests {
     }
 
     #[test]
-    fn ownership_transfer_ends_tracking() {
-        // Returned and pushed handles are transfers, not leaks.
+    fn moves_end_tracking() {
+        // Returned, pushed, and by-value helper arguments are moves, not
+        // leaks.
         let src = "fn f(engine: &E, ctx: &mut C) -> Result<M, E> {\n\
                    let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice)?;\n\
                    Ok(m)\n\
@@ -1276,23 +789,41 @@ mod tests {
                    let rx = engine.alloc_coherent(ctx, 4096).expect(\"ring\");\n\
                    nic.attach(&rx);\n\
                    out.push(rx);\n\
+                   }\n\
+                   fn h(engine: &E, ctx: &mut C) {\n\
+                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
+                   finish(engine, ctx, m);\n\
                    }\n";
         assert_eq!(rules(src), Vec::<&str>::new());
     }
 
     #[test]
-    fn double_unmap_along_a_path_is_flagged() {
-        let src = "fn f(engine: &E, ctx: &mut C, early: bool) {\n\
+    fn borrowed_handle_keeps_the_leak_obligation() {
+        // `&m` cannot take ownership of a move-only handle: the caller
+        // still has to unmap it.
+        let src = "fn caller(engine: &E, ctx: &mut C) {\n\
                    let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-                   if early {\n\
-                   engine.unmap(ctx, m).expect(\"u1\");\n\
-                   }\n\
-                   engine.unmap(ctx, m).expect(\"u2\");\n\
+                   touch_stats(&m);\n\
+                   ring.stash(&mut m);\n\
                    }\n";
         let f = run(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "double-unmap");
-        assert_eq!(f[0].line, 6);
+        assert_eq!(f[0].rule, "leak-on-exit");
+        let clean = "fn caller(engine: &E, ctx: &mut C) {\n\
+                     let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
+                     log_mapping(&m);\n\
+                     engine.unmap(ctx, m).expect(\"u\");\n\
+                     }\n";
+        assert_eq!(rules(clean), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn closure_capture_ends_tracking() {
+        let src = "fn caller(engine: &E, ctx: &mut C, defer: &mut Vec<F>) {\n\
+                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
+                   defer.push(Box::new(move || consume(m)));\n\
+                   }\n";
+        assert_eq!(rules(src), Vec::<&str>::new());
     }
 
     #[test]
@@ -1314,6 +845,21 @@ mod tests {
                     engine.unmap(ctx, m).expect(\"u\");\n\
                     }\n";
         assert_eq!(rules(good), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn sync_for_device_hands_the_buffer_back() {
+        let src = "fn f(engine: &E, mem: &M, ctx: &mut C) {\n\
+                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::Bidirectional).expect(\"m\");\n\
+                   engine.sync_for_cpu(ctx, &m);\n\
+                   engine.sync_for_device(ctx, &m);\n\
+                   let got = mem.read_vec(skb, 64);\n\
+                   engine.unmap(ctx, m).expect(\"u\");\n\
+                   }\n";
+        let f = run(src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "sync-before-cpu-read");
+        assert_eq!(f[0].line, 5);
     }
 
     #[test]
@@ -1387,6 +933,17 @@ mod tests {
     }
 
     #[test]
+    fn unmap_on_one_arm_only_leaks() {
+        let src = "fn f(engine: &E, ctx: &mut C, fast: bool) {\n\
+                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
+                   if fast {\n\
+                   engine.unmap(ctx, m).expect(\"a\");\n\
+                   }\n\
+                   }\n";
+        assert_eq!(rules(src), vec!["leak-on-exit"]);
+    }
+
+    #[test]
     fn test_functions_are_exempt() {
         let src = "#[cfg(test)]\nmod t {\n\
                    fn leaky(engine: &E, ctx: &mut C) {\n\
@@ -1394,115 +951,5 @@ mod tests {
                    }\n\
                    }\n";
         assert_eq!(rules(src), Vec::<&str>::new());
-    }
-
-    // ---- interprocedural mode ----
-
-    #[test]
-    fn leak_across_uses_only_helper_is_flagged() {
-        let src = "fn caller(engine: &E, ctx: &mut C) {\n\
-                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-                   touch_stats(&m);\n\
-                   }\n\
-                   fn touch_stats(m: &M) {\n\
-                   count(m.len);\n\
-                   }\n";
-        // Intraprocedural: ownership transfer, silent.
-        assert_eq!(rules(src), Vec::<&str>::new());
-        // Interprocedural: the helper only reads; the leak is ours.
-        let (f, _) = run_inter(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "leak-on-exit");
-    }
-
-    #[test]
-    fn helper_roundtrip_with_unmap_is_clean() {
-        let src = "fn caller(engine: &E, ctx: &mut C) {\n\
-                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-                   log_mapping(&m);\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
-                   }\n\
-                   fn log_mapping(m: &M) {\n\
-                   note(m.iova);\n\
-                   }\n";
-        let (f, notes) = run_inter(src);
-        assert_eq!(f, Vec::new(), "{f:?}");
-        assert_eq!(notes, Vec::new(), "{notes:?}");
-    }
-
-    #[test]
-    fn use_after_unmap_through_returned_handle_and_helper_unmap() {
-        let src = "fn caller(engine: &E, ctx: &mut C) {\n\
-                   let m = make_rx(engine, ctx);\n\
-                   finish(engine, ctx, m);\n\
-                   fire(m.iova.get());\n\
-                   }\n\
-                   fn make_rx(engine: &E, ctx: &mut C) -> M {\n\
-                   engine.map(ctx, DmaBuf::new(buf, 64), DmaDirection::FromDevice).expect(\"m\")\n\
-                   }\n\
-                   fn finish(engine: &E, ctx: &mut C, m: M) {\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
-                   }\n";
-        // Intraprocedural: nothing is even tracked.
-        assert_eq!(rules(src), Vec::<&str>::new());
-        let (f, _) = run_inter(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "use-after-unmap");
-        assert_eq!(f[0].line, 4);
-    }
-
-    #[test]
-    fn helper_unmap_then_caller_unmap_is_double() {
-        let src = "fn caller(engine: &E, ctx: &mut C) {\n\
-                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-                   release(engine, ctx, m);\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
-                   }\n\
-                   fn release(engine: &E, ctx: &mut C, m: M) {\n\
-                   engine.unmap(ctx, m).expect(\"u\");\n\
-                   }\n";
-        let (f, _) = run_inter(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "double-unmap");
-        assert_eq!(f[0].line, 4);
-    }
-
-    #[test]
-    fn closure_capture_is_a_note_not_a_violation() {
-        let src = "fn caller(engine: &E, ctx: &mut C, defer: &mut Vec<F>) {\n\
-                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-                   defer.push(Box::new(move || consume(m)));\n\
-                   }\n";
-        let (f, notes) = run_inter(src);
-        assert_eq!(f, Vec::new(), "{f:?}");
-        assert_eq!(notes.len(), 1, "{notes:?}");
-        assert_eq!(notes[0].kind, EscapeKind::ClosureCapture);
-        assert_eq!(notes[0].var, "m");
-        assert_eq!(notes[0].function, "caller");
-    }
-
-    #[test]
-    fn unknown_callee_becomes_a_note() {
-        let src = "fn caller(engine: &E, ctx: &mut C) {\n\
-                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice).expect(\"m\");\n\
-                   ring.stash(&m);\n\
-                   }\n";
-        let (f, notes) = run_inter(src);
-        assert_eq!(f, Vec::new(), "{f:?}");
-        assert_eq!(notes.len(), 1, "{notes:?}");
-        assert_eq!(notes[0].kind, EscapeKind::UnknownCallee);
-    }
-
-    #[test]
-    fn returned_handles_stay_silent_interprocedurally() {
-        // `Ok(m)` in tail position is the ownership hand-off to the
-        // caller — the caller-side summary check covers it, not a note.
-        let src = "fn make(engine: &E, ctx: &mut C) -> Result<M, E> {\n\
-                   let m = engine.map(ctx, DmaBuf::new(skb, 64), DmaDirection::ToDevice)?;\n\
-                   Ok(m)\n\
-                   }\n";
-        let (f, notes) = run_inter(src);
-        assert_eq!(f, Vec::new(), "{f:?}");
-        assert_eq!(notes, Vec::new(), "{notes:?}");
     }
 }

@@ -2,19 +2,19 @@
 //! Workspace lint runner: `cargo run --bin lint`.
 //!
 //! Scans every member crate's sources, tests, benches, and manifest for
-//! the house rules, the interprocedural DMA-API protocol rules, the
-//! device-taint pass, the lock-order pass, the unsafe audit, and stale
-//! waivers (see the `lint` crate), prints a per-rule summary, and exits
-//! with a CI-friendly code: `0` clean, `1` findings, `2` the scan itself
-//! failed (I/O error, missing workspace, blown time budget).
+//! the house rules, the manifest rules, the DMA-API protocol rules the
+//! move-only handle types cannot express (leak-on-exit,
+//! sync-before-cpu-read), the device-taint pass, the lock-order pass, and
+//! dead waivers (see the `lint` crate), prints a per-rule summary, and
+//! exits with a CI-friendly code: `0` clean, `1` findings, `2` the scan
+//! itself failed (I/O error, missing workspace, blown time budget).
 //!
 //! Flags:
 //! - `--fast` — style + manifest rules only (the quick pre-commit pass);
-//!   the protocol, taint, lock-order, unsafe, and dead-waiver passes are
-//!   skipped.
+//!   the protocol, taint, lock-order, and dead-waiver passes are skipped.
 //! - `--json <path>` — also write the machine-readable report (findings,
-//!   per-rule summary, lock-order and unsafe inventories, call graph,
-//!   function summaries, escapes, taint stats) to `path`.
+//!   per-rule summary, lock-order inventory, call graph, device-reading
+//!   functions, taint stats) to `path`.
 //! - `--budget-ms <n>` — fail (exit 2) if the scan takes longer than `n`
 //!   milliseconds of wall clock; keeps the full pass honest in CI.
 //! - any other argument — the workspace root (default: this crate's
@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lint::{json_report, lock_order_analysis, rule_summary, unsafe_audit_analysis, Pass};
+use lint::{json_report, lock_order_analysis, rule_summary, Pass};
 
 fn main() -> ExitCode {
     let mut pass = Pass::Full;
@@ -65,14 +65,17 @@ fn main() -> ExitCode {
     let violations = &report.violations;
 
     if let Some(path) = &json_path {
-        let (locks, unsafes) = match (lock_order_analysis(&root), unsafe_audit_analysis(&root)) {
-            (Ok(l), Ok(u)) => (l, u),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("lint: cannot build inventories for {}: {e}", root.display());
+        let locks = match lock_order_analysis(&root) {
+            Ok(l) => l,
+            Err(e) => {
+                eprintln!(
+                    "lint: cannot build the lock inventory for {}: {e}",
+                    root.display()
+                );
                 return ExitCode::from(2);
             }
         };
-        let doc = json_report(violations, &locks, &unsafes, report.protocol.as_ref());
+        let doc = json_report(violations, &locks, report.protocol.as_ref());
         if let Err(e) = std::fs::write(path, doc.encode()) {
             eprintln!("lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
@@ -91,7 +94,7 @@ fn main() -> ExitCode {
 
     let mode = match pass {
         Pass::Fast => "fast (style rules)",
-        Pass::Full => "full (style + protocol + taint + lock-order + unsafe)",
+        Pass::Full => "full (style + protocol + taint + lock-order + dead-waiver)",
     };
     let summary: Vec<String> = rule_summary(violations)
         .iter()

@@ -19,9 +19,10 @@
 //! - [`dmasan`] — the DMA-API sanitizer and lockset race detector.
 //!
 //! It also fronts the workspace's correctness tooling: the [`lint`]
-//! crate (style rules, lock-order analysis, the DMA-API protocol
-//! typestate checker, and the unsafe audit) and its
-//! `cargo run --bin lint` runner.
+//! crate (style and manifest rules, lock-order analysis, device taint,
+//! and the DMA-API protocol rules that the move-only
+//! [`dma_api::DmaMapping`] handle cannot express: leak-on-exit and
+//! sync-before-cpu-read) and its `cargo run --bin lint` runner.
 #![forbid(unsafe_code)]
 
 pub use lint;

@@ -1,28 +1,27 @@
-//! Static ↔ dynamic crosscheck: the planted protocol violations in
-//! `tests/fixtures/lint-bad/crates/badcrate/src/protocol.rs` and
-//! `interproc.rs` are replayed here as the equivalent runtime event
-//! sequences against the DMA sanitizer, pinning the correspondence
-//! between the static typestate rules and dmasan's runtime rules:
+//! Static ↔ dynamic crosscheck: each DMA-API protocol bug class is
+//! replayed here as the equivalent runtime event sequence against the DMA
+//! sanitizer, pinning which checker catches it before run time:
 //!
-//! | static rule            | dmasan rule    |
-//! |------------------------|----------------|
-//! | `use-after-unmap`      | `stale_access` |
-//! | `leak-on-exit`         | `leak`         |
-//! | `double-unmap`         | `double_unmap` |
-//! | `sync-before-cpu-read` | *(none)*       |
-//! | `device-taint`         | *(none)*       |
+//! | bug class            | caught statically by                   | dmasan rule    |
+//! |----------------------|----------------------------------------|----------------|
+//! | use-after-unmap      | the compiler (E0382, move-only handle) | `stale_access` |
+//! | double-unmap         | the compiler (E0382, move-only handle) | `double_unmap` |
+//! | leak-on-exit         | lint `leak-on-exit`                    | `leak`         |
+//! | sync-before-cpu-read | lint `sync-before-cpu-read`            | *(none)*       |
+//! | device taint         | lint `device-taint`                    | *(none)*       |
 //!
-//! The last rows are the documented precision gaps (the paper's §5.2
-//! `StaleAccess` discussion applies in reverse): the sanitizer observes
-//! device-side bus accesses, so a *CPU* read of an un-synced streaming
-//! buffer — or a tainted length steering CPU-side indexing — is invisible
-//! at runtime; only the static checker sees those. In the other
-//! direction, the checker is summary-based but still alias-free, so a
-//! handle that truly escapes (collections, struct stores, closures it
-//! cannot prove safe) is reported as an escape note and covered only by
-//! dmasan's teardown check. Helper boundaries are NOT a gap anymore:
-//! violations split across calls (mapped in one function, unmapped in
-//! another, used in a third) are caught statically and replayed below.
+//! The compile-time rows are pinned by the `compile_fail` doctests on
+//! `dma_api::DmaMapping` and `CoherentBuffer`; the lint rows by the planted
+//! fixture in `tests/fixtures/lint-bad/crates/badcrate/src/`, whose static
+//! counts must equal the replayed runtime counts below. The last rows are
+//! the documented precision gaps (the paper's §5.2 `StaleAccess`
+//! discussion applies in reverse): the sanitizer observes device-side bus
+//! accesses, so a *CPU* read of an un-synced streaming buffer — or a
+//! tainted length steering CPU-side indexing — is invisible at runtime;
+//! only the static checker sees those. In the other direction, the lint
+//! stops tracking a handle at its first move (into a helper, a
+//! collection, a closure), so a leak behind a move is covered only by
+//! dmasan's teardown check.
 
 use dma_shadowing::dma_api::{BusObserver, DmaDirection, DmaMapping, DmaObserver};
 use dma_shadowing::dmasan::{DmaSan, ViolationKind};
@@ -55,47 +54,45 @@ fn mapping(iova: u64, len: usize, dir: DmaDirection, os_pa: u64) -> DmaMapping {
     }
 }
 
-/// The static findings from the planted fixture, by protocol rule.
+/// The static findings from the planted fixture, by lint rule.
 fn static_count(rule: &str) -> usize {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lint-bad");
     let violations: Vec<LintViolation> = lint_workspace(&fixture).expect("scan fixture");
     violations.iter().filter(|v| v.rule == rule).count()
 }
 
-/// `protocol.rs::use_after_unmap` and
-/// `interproc.rs::use_after_helper_unmap` — both project `m.iova` after
-/// `dma_unmap`; the runtime twin is the device using that stale IOVA. The
-/// interprocedural variant is the same event sequence even though no
-/// single fixture function contains it: the map happens inside `make_rx`,
-/// the unmap inside `finish`, and the stale projection in the caller.
+/// Use after unmap: the driver keeps the IOVA after `dma_unmap` and the
+/// device uses it. Reading the field off the unmapped handle does not
+/// compile (`DmaMapping` doctests), so a driver can only get here with
+/// an `Iova` copied out before the unmap — which is exactly what the
+/// device does at runtime. dmasan reports the stale access either way,
+/// including when map, unmap, and stale use sit in three different
+/// functions.
 #[test]
 fn use_after_unmap_replays_as_stale_access() {
     let (san, ctx) = san();
     let m = mapping(0x1000, 1500, DmaDirection::ToDevice, 0x8000);
     san.on_map(&ctx, DEV, &m, 1);
     san.on_unmap(&ctx, DEV, &m, 2);
-    // The device (or, statically, the CPU via the stale handle) touches
-    // the retired IOVA and the hardware lets it through.
+    // The device touches the retired IOVA and the hardware lets it
+    // through.
     san.on_device_access(DEV, 0x1000, 64, false, true);
 
-    // use_after_helper_unmap: `make_rx` maps ...
+    // Across helpers: one function maps ...
     let helper = mapping(0x7000, 1500, DmaDirection::FromDevice, 0xe000);
     san.on_map(&ctx, DEV, &helper, 3);
-    // ... `finish` unmaps (the summary's `must_unmap` parameter) ...
+    // ... a helper unmaps ...
     san.on_unmap(&ctx, DEV, &helper, 4);
-    // ... and the caller fires on the handle it still holds.
+    // ... and the caller fires on the IOVA it kept.
     san.on_device_access(DEV, 0x7000, 64, false, true);
 
     assert_eq!(san.count_of(ViolationKind::StaleAccess), 2);
-    assert_eq!(
-        static_count("use-after-unmap"),
-        san.count_of(ViolationKind::StaleAccess),
-        "static and dynamic checkers must agree on the planted count"
-    );
 }
 
-/// `protocol.rs::double_unmap` — the `early` path unmaps, then the
-/// unconditional unmap fires again.
+/// Double unmap: one path unmaps, then an unconditional unmap fires
+/// again. A second `unmap` of the same `DmaMapping` does not compile; the
+/// runtime twin (two unmap events for one IOVA) is still a dmasan
+/// violation.
 #[test]
 fn double_unmap_replays_identically() {
     let (san, ctx) = san();
@@ -104,10 +101,6 @@ fn double_unmap_replays_identically() {
     san.on_unmap(&ctx, DEV, &m, 2); // the `if early` arm
     san.on_unmap(&ctx, DEV, &m, 3); // the unconditional unmap
     assert_eq!(san.count_of(ViolationKind::DoubleUnmap), 1);
-    assert_eq!(
-        static_count("double-unmap"),
-        san.count_of(ViolationKind::DoubleUnmap)
-    );
 }
 
 /// `protocol.rs::{leak_on_early_return, leak_via_question}` — both exits
@@ -129,9 +122,9 @@ fn leaks_replay_as_teardown_leaks() {
         &mapping(0x4000, 1500, DmaDirection::FromDevice, 0xb000),
         2,
     );
-    // interproc.rs::leak_across_helper: map, call `touch_stats` — whose
-    // summary proves it only *reads* the handle — and fall off the end.
-    // At runtime the helper call is invisible; only the missing unmap is.
+    // interproc.rs::leak_across_helper: map, lend the handle to
+    // `touch_stats` (`&m`, not a move), and fall off the end. At runtime
+    // the helper call is invisible; only the missing unmap is.
     san.on_map(
         &ctx,
         DEV,
@@ -165,13 +158,14 @@ fn sync_before_cpu_read_has_no_runtime_mirror() {
     assert_eq!(static_count("sync-before-cpu-read"), 1);
 }
 
-/// `interproc.rs::helper_roundtrip` — the clean interprocedural control:
-/// the caller maps, `finish` unmaps. Statically the helper's `must_unmap`
-/// summary discharges the obligation (no waiver involved); dynamically the
-/// unmap event simply arrives from a different stack frame, which dmasan
-/// never cared about in the first place. Silent in both checkers.
+/// `interproc.rs::helper_roundtrip` — the clean cross-function control:
+/// the caller maps, `finish` unmaps. Statically, passing the handle by
+/// value moves ownership into `finish`, which the compiler guarantees
+/// (no waiver involved); dynamically the unmap event simply arrives from
+/// a different stack frame, which dmasan never cared about in the first
+/// place. Silent in both checkers.
 #[test]
-fn summary_proven_helper_roundtrip_is_silent_in_both_checkers() {
+fn helper_roundtrip_is_silent_in_both_checkers() {
     let (san, ctx) = san();
     let m = mapping(0x8000, 1500, DmaDirection::ToDevice, 0xf000);
     san.on_map(&ctx, DEV, &m, 1); // caller: engine.map(...)

@@ -1,33 +1,23 @@
-//! Planted interprocedural fixtures: each violation here is invisible to
-//! a per-function checker and only falls out of the call-graph +
-//! summary pass, with summary-proven clean controls alongside. Never
-//! compiled.
+//! Planted cross-function fixtures: handles handed to helpers by
+//! reference and by value, and device data read in one function and
+//! used in another, with clean controls alongside. Never compiled.
 
 // lint: allow(panic) — fixture bodies use expect() to keep the planted statements one-liners
-// lint: allow(double-unmap) — stale reason left over from an earlier refactor
+// lint: allow(sync-before-cpu-read) — stale reason left over from an earlier refactor
 
-/// Helper that only *reads* the handle: its summary has no unmap effect,
-/// so the caller keeps the leak obligation.
+/// Helper that only *borrows* the handle: a borrow cannot take ownership
+/// of a move-only mapping, so the caller keeps the leak obligation.
 fn touch_stats(stats: &mut Stats, m: &Mapping) {
     stats.record(m.iova.get());
 }
 
-/// Helper that consumes and unmaps the handle: `must_unmap` on its third
-/// parameter, which the callers below rely on.
+/// Helper that takes the handle by value and unmaps it.
 fn finish(engine: &E, ctx: &mut C, m: Mapping) {
     engine.unmap(ctx, m).expect("unmap");
 }
 
-/// Helper whose tail expression is a fresh mapping: its return summary is
-/// `fresh-mapped`, so callers inherit the handle obligations.
-fn make_rx(engine: &E, ctx: &mut C) -> Mapping {
-    engine
-        .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::FromDevice)
-        .expect("map")
-}
-
-/// The helper call is NOT an unmap: the mapping is still live at exit
-/// (interprocedural leak-on-exit).
+/// The borrowing helper call is NOT an ownership transfer: the mapping is
+/// still live at exit (leak-on-exit).
 pub fn leak_across_helper(engine: &E, ctx: &mut C, stats: &mut Stats) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
@@ -35,21 +25,13 @@ pub fn leak_across_helper(engine: &E, ctx: &mut C, stats: &mut Stats) {
     touch_stats(stats, &m);
 }
 
-/// Clean control: the summary proves `finish` unmaps, so no leak and no
-/// waiver needed.
+/// Clean control: passing the handle by value moves ownership into
+/// `finish`, so no leak and no waiver needed.
 pub fn helper_roundtrip(engine: &E, ctx: &mut C) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
         .expect("map");
     finish(engine, ctx, m);
-}
-
-/// The handle comes back from `make_rx`, dies inside `finish`, and is
-/// then projected: use-after-unmap across two helper calls.
-pub fn use_after_helper_unmap(engine: &E, ctx: &mut C) {
-    let m = make_rx(engine, ctx);
-    finish(engine, ctx, m);
-    fire(m.iova.get());
 }
 
 /// Device-tainted index used raw: `data` comes off a device-writable
@@ -80,9 +62,8 @@ pub fn taint_bounds_checked(engine: &E, mem: &M, ctx: &mut C, table: &mut [u64])
     engine.unmap(ctx, m).expect("unmap");
 }
 
-/// The closure capture is an escape *note*, not a violation: the handle
-/// leaves the lattice declared, and the closure becomes an anonymous
-/// call-graph node.
+/// Clean control: the `move` closure takes ownership of the handle (and
+/// becomes an anonymous call-graph node).
 pub fn defer_unmap(engine: &E, ctx: &mut C, defer: &mut Defer) {
     let m = engine
         .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)

@@ -1,18 +1,11 @@
 //! Planted DMA-API protocol fixture: each function trips exactly one
-//! typestate (or unsafe-audit) rule where `tests/lint.rs` expects, with
-//! one clean control per rule family. Never compiled.
+//! protocol rule where `tests/lint.rs` expects, with one clean control
+//! per rule. Never compiled. Use-after-unmap and double-unmap have no
+//! fixture here: they are compile errors, pinned by the `compile_fail`
+//! doctests on `dma_api::DmaMapping`.
 
 // lint: allow(panic) — fixture bodies use expect() to keep the planted statements one-liners
-
-/// Projects the handle after `dma_unmap`: the IOVA is stale
-/// (static mirror of dmasan `stale_access`).
-pub fn use_after_unmap(engine: &E, ctx: &mut C) {
-    let m = engine
-        .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
-        .expect("map");
-    engine.unmap(ctx, m).expect("unmap");
-    fire(m.iova.get());
-}
+// lint: allow(use-after-unmap) — leftover from before the mapping handle became move-only
 
 /// The early `return` leaves the mapping live (dmasan `leak`).
 pub fn leak_on_early_return(engine: &E, ctx: &mut C, bad: bool) -> Result<(), DmaError> {
@@ -35,18 +28,6 @@ pub fn leak_via_question(engine: &E, ctx: &mut C) -> Result<(), DmaError> {
     Ok(())
 }
 
-/// Unmapped on the `early` path, then unconditionally unmapped again
-/// (dmasan `double_unmap`).
-pub fn double_unmap(engine: &E, ctx: &mut C, early: bool) {
-    let m = engine
-        .map(ctx, DmaBuf::new(pkt, 1500), DmaDirection::ToDevice)
-        .expect("map");
-    if early {
-        engine.unmap(ctx, m).expect("first");
-    }
-    engine.unmap(ctx, m).expect("second");
-}
-
 /// CPU read of a device-writable streaming buffer while it is still
 /// mapped and un-synced. dmasan has no runtime mirror: it observes bus
 /// accesses, not CPU loads.
@@ -66,19 +47,4 @@ pub fn read_with_sync(engine: &E, mem: &M, ctx: &mut C) {
     engine.sync_for_cpu(ctx, &m);
     let got = mem.read_vec(pkt, 1500).expect("read");
     engine.unmap(ctx, m).expect("unmap");
-}
-
-/// An `unsafe` block with no `// SAFETY:` justification.
-pub fn poke_raw(p: *mut u8) {
-    unsafe {
-        *p = 0;
-    }
-}
-
-/// Clean control: the justification satisfies the audit.
-pub fn poke_documented(p: *mut u8) {
-    // SAFETY: fixture pointer is valid for writes by construction.
-    unsafe {
-        *p = 1;
-    }
 }
