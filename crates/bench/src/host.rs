@@ -3,8 +3,8 @@
 //! Every other bench target reports **simulated** numbers, which are
 //! deterministic and never regress by accident. This one times how long
 //! the *host* takes to grind through the paper's hot loops — the fig1
-//! 16-core stream, the fig5 breakdown run, and the map/unmap micro
-//! loops — and records the result as one JSON line in `BENCH_HOST.json`
+//! 16-core stream, the fig5 breakdown run, the fig4 64 KB TSO transmit
+//! (the memsim byte path), and the map/unmap micro loops — and records the result as one JSON line in `BENCH_HOST.json`
 //! at the workspace root (the perf trajectory: one entry per recorded
 //! run, oldest first).
 //!
@@ -31,7 +31,7 @@ use crate::figure_cfg;
 use dma_api::DmaBuf;
 use iommu::{DeviceId, IoPageTable, Iotlb, IovaPage, Perms, PtEntry};
 use memsim::{NumaDomain, NumaTopology, Pfn, PhysMemory};
-use netsim::{tcp_stream_rx, EngineKind};
+use netsim::{tcp_stream_rx, tcp_stream_tx, EngineKind};
 use obs::Json;
 use shadow_core::{PoolConfig, ShadowPool};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles};
@@ -65,6 +65,13 @@ fn fig5_loop() {
     let cfg = figure_cfg(1, 64 * 1024);
     for &k in EngineKind::FIGURE_SET.iter() {
         std::hint::black_box(tcp_stream_rx(k, &cfg));
+    }
+}
+
+fn fig4_tx_loop() {
+    let cfg = figure_cfg(1, 64 * 1024);
+    for &k in EngineKind::FIGURE_SET.iter() {
+        std::hint::black_box(tcp_stream_tx(k, &cfg));
     }
 }
 
@@ -191,6 +198,7 @@ pub fn workloads() -> Vec<(&'static str, fn())> {
         ("fig1_16core", (|| fig1_loop(16)) as fn()),
         ("fig1_1core", || fig1_loop(1)),
         ("fig5_rx", fig5_loop),
+        ("fig4_tx", fig4_tx_loop),
         ("micro_pool", micro_pool_loop),
         ("micro_iotlb", micro_iotlb_loop),
         ("micro_pagetable", micro_pagetable_loop),

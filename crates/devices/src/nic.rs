@@ -111,6 +111,9 @@ struct Ring {
 /// payload movement — goes through the device's [`Bus`], i.e. through the
 /// IOMMU when protection is on. The driver side (posting descriptors) is
 /// CPU work and uses direct physical access to the coherent ring memory.
+/// Transmit streams the fetched payload to a caller's sink
+/// ([`Nic::transmit_gather_with`]), so the wire bytes are read from memory
+/// once and never staged.
 #[derive(Debug)]
 pub struct Nic {
     dev: DeviceId,
@@ -245,45 +248,23 @@ impl Nic {
     /// (TSO), and completes the descriptor.
     ///
     /// Returns the completion and the reassembled payload (so callers can
-    /// verify what actually went on the wire).
+    /// verify what actually went on the wire). A one-descriptor
+    /// [`Nic::transmit_gather`].
     pub fn transmit(&self, ring_id: usize) -> Result<(TxCompletion, Vec<u8>), NicError> {
-        let mut payload = Vec::new();
-        let completion = self.transmit_into(ring_id, &mut payload)?;
-        Ok((completion, payload))
+        self.transmit_gather(ring_id, 1)
     }
 
-    /// Like [`Nic::transmit`], but gathers the wire payload into a
-    /// caller-owned buffer so per-packet loops can reuse one allocation.
-    /// The buffer is cleared and resized to the payload length.
-    pub fn transmit_into(
+    /// Like [`Nic::transmit_gather_with`], but collects the wire payload
+    /// into a vector.
+    pub fn transmit_gather(
         &self,
         ring_id: usize,
-        payload: &mut Vec<u8>,
-    ) -> Result<TxCompletion, NicError> {
-        let mut ring = self
-            .tx
-            .get(ring_id)
-            .ok_or(NicError::BadRing(ring_id))?
-            .borrow_mut();
-        let slot = ring.next;
-        let (addr, len, status) = self.fetch_descriptor(&ring, slot)?;
-        if status != STATUS_READY {
-            return Err(NicError::NoDescriptor {
-                ring: ring_id,
-                slot,
-            });
-        }
-        let len = len as usize;
-        if len > self.cfg.tso_max {
-            return Err(NicError::OversizedTx(len));
-        }
-        payload.clear();
-        payload.resize(len, 0);
-        self.bus.read(self.dev, addr, payload)?;
-        self.write_back(&ring, slot, len as u32)?;
-        ring.next = (slot + 1) % ring.entries;
-        let frames = len.div_ceil(MTU).max(1);
-        Ok(TxCompletion { slot, len, frames })
+        n: usize,
+    ) -> Result<(TxCompletion, Vec<u8>), NicError> {
+        let mut payload = Vec::new();
+        let completion =
+            self.transmit_gather_with(ring_id, n, |part| payload.extend_from_slice(part))?;
+        Ok((completion, payload))
     }
 
     /// The NIC processes the next `n` TX descriptors as one scatter/gather
@@ -291,24 +272,17 @@ impl Nic {
     /// transmits the concatenation as one TSO payload (real NICs chain
     /// descriptors exactly like this for fragmented skbs).
     ///
-    /// Returns the combined completion and the gathered payload.
-    pub fn transmit_gather(
+    /// The payload is streamed to `sink` in wire order as the DMA reads
+    /// fetch it — the NIC's one TX engine; nothing is staged. Each
+    /// fragment is completed once it has been read, but the ring's
+    /// consume pointer moves past the chain only when all of it
+    /// succeeded: on an error `sink` may have seen a prefix, and the ring
+    /// still points at the chain's first slot.
+    pub fn transmit_gather_with(
         &self,
         ring_id: usize,
         n: usize,
-    ) -> Result<(TxCompletion, Vec<u8>), NicError> {
-        let mut payload = Vec::new();
-        let completion = self.transmit_gather_into(ring_id, n, &mut payload)?;
-        Ok((completion, payload))
-    }
-
-    /// Like [`Nic::transmit_gather`], but gathers into a caller-owned
-    /// buffer (cleared first) so hot loops can reuse one allocation.
-    pub fn transmit_gather_into(
-        &self,
-        ring_id: usize,
-        n: usize,
-        payload: &mut Vec<u8>,
+        mut sink: impl FnMut(&[u8]),
     ) -> Result<TxCompletion, NicError> {
         assert!(n > 0, "empty gather chain");
         let mut ring = self
@@ -317,7 +291,7 @@ impl Nic {
             .ok_or(NicError::BadRing(ring_id))?
             .borrow_mut();
         let first_slot = ring.next;
-        payload.clear();
+        let mut total = 0usize;
         for k in 0..n {
             let slot = (first_slot + k) % ring.entries;
             let (addr, len, status) = self.fetch_descriptor(&ring, slot)?;
@@ -328,21 +302,18 @@ impl Nic {
                 });
             }
             let len = len as usize;
-            if payload.len() + len > self.cfg.tso_max {
-                return Err(NicError::OversizedTx(payload.len() + len));
+            if total + len > self.cfg.tso_max {
+                return Err(NicError::OversizedTx(total + len));
             }
-            let start = payload.len();
-            payload.resize(start + len, 0);
-            self.bus.read(self.dev, addr, &mut payload[start..])?;
+            self.bus.read_with(self.dev, addr, len, &mut sink)?;
             self.write_back(&ring, slot, len as u32)?;
+            total += len;
         }
         ring.next = (first_slot + n) % ring.entries;
-        let len = payload.len();
-        let frames = len.div_ceil(MTU).max(1);
         Ok(TxCompletion {
             slot: first_slot,
-            len,
-            frames,
+            len: total,
+            frames: total.div_ceil(MTU).max(1),
         })
     }
 
@@ -502,6 +473,108 @@ mod tests {
         assert_eq!(
             r.nic.transmit(ring_id).unwrap_err(),
             NicError::OversizedTx(65 * 1024)
+        );
+    }
+
+    /// Posts a three-fragment chain of 5,000-byte buffers at slots 0–2.
+    fn post_chain(r: &mut Rig) -> Vec<u8> {
+        let pfn = r.mem.alloc_frames(NumaDomain(0), 4).unwrap();
+        let payload: Vec<u8> = (0..15_000).map(|i| (i % 241) as u8).collect();
+        r.mem.write(pfn.base(), &payload).unwrap();
+        for k in 0..3 {
+            let buf = DmaBuf::new(pfn.base().add(k as u64 * 5_000), 5_000);
+            let m = r.eng.map(&mut r.ctx, buf, DmaDirection::ToDevice).unwrap();
+            post_rx(r, k, m.iova.get(), 5_000);
+        }
+        payload
+    }
+
+    #[test]
+    fn streamed_gather_is_the_collected_gather() {
+        let mut a = rig();
+        let ring_a = a.nic.attach_tx_ring(&a.ring);
+        let payload = post_chain(&mut a);
+        let (ca, wire) = a.nic.transmit_gather(ring_a, 3).unwrap();
+
+        let mut b = rig();
+        let ring_b = b.nic.attach_tx_ring(&b.ring);
+        post_chain(&mut b);
+        let mut chunks = Vec::new();
+        let cb = b
+            .nic
+            .transmit_gather_with(ring_b, 3, |part| chunks.push(part.to_vec()))
+            .unwrap();
+
+        assert_eq!(wire, payload);
+        assert_eq!(
+            chunks.concat(),
+            wire,
+            "the sink sees exactly the gathered bytes"
+        );
+        assert!(chunks.len() > 3, "fragments arrive in page-sized pieces");
+        assert_eq!(cb, ca);
+        assert_eq!(
+            cb,
+            TxCompletion {
+                slot: 0,
+                len: 15_000,
+                frames: 10
+            }
+        );
+        assert_eq!(b.nic.tx_next(ring_b), 3);
+    }
+
+    #[test]
+    fn unmapped_fragment_fails_the_chain_without_advancing() {
+        // Behind an IOMMU: the ring and the first fragment are mapped,
+        // the second fragment's IOVA is not.
+        let mut r = rig();
+        let mmu = Arc::new(iommu::Iommu::new());
+        let identity = |ctx: &mut CoreCtx, pfn: memsim::Pfn| {
+            mmu.map_page(
+                ctx,
+                DEV,
+                iommu::IovaPage(pfn.0),
+                pfn,
+                iommu::Perms::ReadWrite,
+            )
+            .unwrap();
+        };
+        for i in 0..(r.ring.len.div_ceil(memsim::PAGE_SIZE)) {
+            identity(&mut r.ctx, r.ring.pa.pfn().add(i as u64));
+        }
+        let frag = r.mem.alloc_frame(NumaDomain(0)).unwrap();
+        r.mem.write(frag.base(), &[7u8; 1000]).unwrap();
+        identity(&mut r.ctx, frag);
+        let unmapped = r.mem.alloc_frame(NumaDomain(0)).unwrap();
+        post_rx(&r, 0, frag.base().get(), 1000);
+        post_rx(&r, 1, unmapped.base().get(), 1000);
+        let mut nic = Nic::new(
+            DEV,
+            Bus::Iommu {
+                mmu: mmu.clone(),
+                mem: r.mem.clone(),
+            },
+            NicConfig::default(),
+        );
+        let ring_id = nic.attach_tx_ring(&r.ring);
+
+        let mut streamed = 0;
+        let err = nic
+            .transmit_gather_with(ring_id, 2, |part| streamed += part.len())
+            .unwrap_err();
+        assert!(
+            matches!(err, NicError::Dma(BusError::Fault(f)) if f.iova.get() == unmapped.base().get()),
+            "{err:?}"
+        );
+        assert_eq!(
+            streamed, 1000,
+            "the first fragment was fetched before the fault"
+        );
+        assert_eq!(
+            nic.tx_next(ring_id),
+            0,
+            "the ring does not move past a failed chain"
         );
     }
 

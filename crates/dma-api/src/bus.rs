@@ -85,14 +85,31 @@ impl Bus {
 
     /// Device read (`addr` is an IOVA when protected, else physical).
     pub fn read(&self, dev: DeviceId, addr: u64, buf: &mut [u8]) -> Result<(), BusError> {
+        let mut off = 0usize;
+        self.read_with(dev, addr, buf.len(), |part| {
+            buf[off..off + part.len()].copy_from_slice(part);
+            off += part.len();
+        })
+    }
+
+    /// Device read of `len` bytes streamed to `sink` in address order
+    /// instead of into a buffer. It is one bus access: an observer sees
+    /// it once, with the whole length.
+    pub fn read_with(
+        &self,
+        dev: DeviceId,
+        addr: u64,
+        len: usize,
+        sink: impl FnMut(&[u8]),
+    ) -> Result<(), BusError> {
         match self {
-            Bus::Direct(mem) => mem.read(PhysAddr(addr), buf).map_err(BusError::Mem),
+            Bus::Direct(mem) => mem.visit(PhysAddr(addr), len, sink).map_err(BusError::Mem),
             Bus::Iommu { mmu, mem } => mmu
-                .dma_read(mem, dev, Iova::new(addr), buf)
+                .dma_read_with(mem, dev, Iova::new(addr), len, sink)
                 .map_err(BusError::Fault),
             Bus::Observed { inner, observer } => {
-                let r = inner.read(dev, addr, buf);
-                observer.on_device_access(dev, addr, buf.len(), false, r.is_ok());
+                let r = inner.read_with(dev, addr, len, sink);
+                observer.on_device_access(dev, addr, len, false, r.is_ok());
                 r
             }
         }

@@ -297,8 +297,28 @@ impl Iommu {
         iova: Iova,
         buf: &mut [u8],
     ) -> Result<(), DmaFault> {
-        self.dma_access(dev, iova, buf.len(), Access::Read, |pa, off, len| {
-            mem.read(pa, &mut buf[off..off + len])
+        let mut off = 0usize;
+        self.dma_read_with(mem, dev, iova, buf.len(), |part| {
+            buf[off..off + part.len()].copy_from_slice(part);
+            off += part.len();
+        })
+    }
+
+    /// Device DMA read streamed to `sink`: the device fetches `len` bytes
+    /// from `iova` and hands them over in address order as they arrive
+    /// (see [`PhysMemory::visit`]), without staging them in a buffer.
+    /// Translation and faults are as in [`Iommu::dma_read`]; `sink` has
+    /// seen the pages before a faulting one.
+    pub fn dma_read_with(
+        &self,
+        mem: &PhysMemory,
+        dev: DeviceId,
+        iova: Iova,
+        len: usize,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), DmaFault> {
+        self.dma_access(dev, iova, len, Access::Read, |pa, _, take| {
+            mem.visit(pa, take, &mut sink)
         })
     }
 

@@ -8,7 +8,8 @@
 //!
 //! - [`PhysMemory`] — the machine's RAM: lazily backed 4 KB frames, a
 //!   per-NUMA-domain frame allocator (including contiguous multi-frame
-//!   allocation for 64 KB shadow buffers), and byte-level read/write/copy.
+//!   allocation for 64 KB shadow buffers), and byte-level read/write/copy,
+//!   plus `visit`, which streams bytes to a callback without copying them.
 //! - [`NumaTopology`] — the paper's dual-socket layout: cores 0–7 on
 //!   domain 0, cores 8–15 on domain 1 (configurable).
 //! - [`Kmalloc`] — a slab allocator in the spirit of the kernel's

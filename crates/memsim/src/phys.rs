@@ -108,29 +108,65 @@ impl DomainAllocator {
 const CHUNK_BITS: u32 = 9;
 const CHUNK: usize = 1 << CHUNK_BITS;
 
-/// One allocated frame's backing bytes plus a dirty high-water mark:
-/// the largest `offset + len` any write has touched since the bytes were
-/// last all-zero. Recycling zeroes only that prefix instead of the whole
-/// page — an MTU-sized skb dirties ~1.5 KB of its 4 KB frame, so the
-/// per-packet alloc/free cycle re-zeroes ~1.5 KB, not 4 KB.
+/// Zeros for the logically-zero tail of a frame (see [`Frame`]).
+static ZEROS: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// One allocated frame's backing bytes plus an `init` mark: bytes at or
+/// above `init` are logically zero whatever the buffer holds, bytes below
+/// it are the buffer's. Recycling a frame is `init = 0` — O(1), however
+/// much the previous owner wrote — and a write zero-fills only the gap
+/// between `init` and its start, so a 64 KB skb whose 17 recycled frames
+/// are overwritten straight away is never zeroed at all.
 #[derive(Debug)]
 struct Frame {
     data: Box<[u8]>,
-    dirty: usize,
+    init: usize,
 }
 
 impl Frame {
     fn zeroed() -> Self {
         Frame {
             data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-            dirty: 0,
+            init: 0,
         }
     }
 
-    /// Restores the all-zero state (cheap when little was written).
+    /// Restores the all-zero state.
     fn rezero(&mut self) {
-        self.data[..self.dirty].fill(0);
-        self.dirty = 0;
+        self.init = 0;
+    }
+
+    /// The logical bytes `[off, off + len)` as two slices: the backing
+    /// bytes below `init`, then zeros.
+    fn bytes(&self, off: usize, len: usize) -> (&[u8], &[u8]) {
+        let end = off + len;
+        let split = self.init.clamp(off, end);
+        (&self.data[off..split], &ZEROS[..end - split])
+    }
+
+    /// Stores `src` at `off`, zero-filling any gap above `init` first.
+    fn write_at(&mut self, off: usize, src: &[u8]) {
+        if src.is_empty() {
+            return;
+        }
+        if off > self.init {
+            self.data[self.init..off].fill(0);
+        }
+        let end = off + src.len();
+        self.data[off..end].copy_from_slice(src);
+        self.init = self.init.max(end);
+    }
+
+    /// Stores the logical bytes `(lo, hi)` of [`Frame::bytes`] at `off`.
+    /// Zeros landing at or above `init` are already there, so only the
+    /// part of `hi` below `init` is written.
+    fn write_parts(&mut self, off: usize, (lo, hi): (&[u8], &[u8])) {
+        self.write_at(off, lo);
+        let start = off + lo.len();
+        let end = (start + hi.len()).min(self.init);
+        if start < end {
+            self.data[start..end].fill(0);
+        }
     }
 }
 
@@ -145,13 +181,12 @@ struct FrameTable {
 }
 
 impl FrameTable {
-    fn get(&self, pfn: u64) -> Option<&[u8]> {
+    fn get(&self, pfn: u64) -> Option<&Frame> {
         self.chunks
             .get((pfn >> CHUNK_BITS) as usize)?
             .as_ref()?
             .get(pfn as usize & (CHUNK - 1))?
             .as_ref()
-            .map(|f| &*f.data)
     }
 
     fn get_mut(&mut self, pfn: u64) -> Option<&mut Frame> {
@@ -186,7 +221,8 @@ impl FrameTable {
 }
 
 /// Freed frame boxes kept for reuse (bounded at 1 MB of backing store);
-/// reused frames are re-zeroed, preserving "frames start zeroed".
+/// reused frames are re-zeroed (`init = 0`), preserving "frames start
+/// zeroed".
 const RECYCLE_CAP: usize = 256;
 
 /// Frame-store shards. Byte accesses lock only the shard owning the
@@ -388,21 +424,44 @@ impl PhysMemory {
         self.shards[s].lock().contains(key)
     }
 
-    /// Reads `buf.len()` bytes starting at `pa` (may cross frames).
-    pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+    /// Streams the `len` bytes at `pa` (may cross frames) to `f`, one or
+    /// more slices per frame, in address order and without copying them
+    /// out — the device-read path behind every TX payload fetch. `f` runs
+    /// with the frame's shard locked, so it must not access this memory.
+    /// On an error, the bytes before the failing frame have been visited.
+    pub fn visit(
+        &self,
+        pa: PhysAddr,
+        len: usize,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), MemError> {
         let mut off = 0usize;
-        while off < buf.len() {
+        while off < len {
             let cur = pa.add(off as u64);
             self.check_bounds(cur)?;
             let (s, key) = shard_key(cur.pfn().0);
             let shard = self.shards[s].lock();
             let frame = shard.get(key).ok_or(MemError::Unallocated(cur.pfn()))?;
             let in_page = cur.page_offset();
-            let take = (PAGE_SIZE - in_page).min(buf.len() - off);
-            buf[off..off + take].copy_from_slice(&frame[in_page..in_page + take]);
+            let take = (PAGE_SIZE - in_page).min(len - off);
+            let (lo, hi) = frame.bytes(in_page, take);
+            for part in [lo, hi] {
+                if !part.is_empty() {
+                    f(part);
+                }
+            }
             off += take;
         }
         Ok(())
+    }
+
+    /// Reads `buf.len()` bytes starting at `pa` (may cross frames).
+    pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
+        let mut off = 0usize;
+        self.visit(pa, buf.len(), |part| {
+            buf[off..off + part.len()].copy_from_slice(part);
+            off += part.len();
+        })
     }
 
     /// Writes `data` starting at `pa` (may cross frames).
@@ -416,8 +475,7 @@ impl PhysMemory {
             let frame = shard.get_mut(key).ok_or(MemError::Unallocated(cur.pfn()))?;
             let in_page = cur.page_offset();
             let take = (PAGE_SIZE - in_page).min(data.len() - off);
-            frame.data[in_page..in_page + take].copy_from_slice(&data[off..off + take]);
-            frame.dirty = frame.dirty.max(in_page + take);
+            frame.write_at(in_page, &data[off..off + take]);
             off += take;
         }
         Ok(())
@@ -435,7 +493,9 @@ impl PhysMemory {
             let frame = shard.get(key).ok_or(MemError::Unallocated(cur.pfn()))?;
             let in_page = cur.page_offset();
             let take = (PAGE_SIZE - in_page).min(data.len() - off);
-            if frame[in_page..in_page + take] != data[off..off + take] {
+            let (lo, hi) = frame.bytes(in_page, take);
+            let want = &data[off..off + take];
+            if want[..lo.len()] != *lo || want[lo.len()..] != *hi {
                 return Ok(false);
             }
             off += take;
@@ -448,7 +508,8 @@ impl PhysMemory {
     /// frame-pair by frame-pair, locking the source and destination shards
     /// together (in shard-index order, so concurrent copies cannot
     /// deadlock) and moving each contiguous run with one `memcpy` — no
-    /// scratch staging, no second pass over the bytes.
+    /// scratch staging, no second pass over the bytes. The source's
+    /// logically-zero tail is not copied where the destination's is too.
     pub fn copy(&self, src: PhysAddr, dst: PhysAddr, len: usize) -> Result<(), MemError> {
         let mut off = 0usize;
         while off < len {
@@ -468,10 +529,11 @@ impl PhysMemory {
                 let mut tmp = [0u8; PAGE_SIZE];
                 let mut shard = self.shards[ss].lock();
                 let sf = shard.get(sk).ok_or(MemError::Unallocated(s_pa.pfn()))?;
-                tmp[..take].copy_from_slice(&sf[si..si + take]);
+                let (lo, _) = sf.bytes(si, take);
+                let n = lo.len();
+                tmp[..n].copy_from_slice(lo);
                 let df = shard.get_mut(dk).ok_or(MemError::Unallocated(d_pa.pfn()))?;
-                df.data[di..di + take].copy_from_slice(&tmp[..take]);
-                df.dirty = df.dirty.max(di + take);
+                df.write_parts(di, (&tmp[..n], &ZEROS[..take - n]));
             } else {
                 let mut g_lo = self.shards[ss.min(ds)].lock();
                 let mut g_hi = self.shards[ss.max(ds)].lock();
@@ -484,8 +546,7 @@ impl PhysMemory {
                 let df = dst_table
                     .get_mut(dk)
                     .ok_or(MemError::Unallocated(d_pa.pfn()))?;
-                df.data[di..di + take].copy_from_slice(&sf[si..si + take]);
-                df.dirty = df.dirty.max(di + take);
+                df.write_parts(di, sf.bytes(si, take));
             }
             off += take;
         }
@@ -673,5 +734,173 @@ mod tests {
         m.fill(a.base().add(10), 0xee, 100).unwrap();
         assert_eq!(m.read_vec(a.base().add(10), 100).unwrap(), vec![0xee; 100]);
         assert_eq!(m.read_vec(a.base(), 10).unwrap(), vec![0u8; 10]);
+    }
+
+    #[test]
+    fn write_above_init_zero_fills_the_gap() {
+        let m = mem(4);
+        let a = m.alloc_frame(NumaDomain(0)).unwrap();
+        m.fill(a.base(), 0xaa, PAGE_SIZE).unwrap();
+        m.free_frames(a, 1).unwrap();
+        // The recycled box still holds 0xaa bytes; none may show through
+        // the gap below a write that starts above `init`.
+        let b = m.alloc_frame(NumaDomain(0)).unwrap();
+        assert_eq!(b, a);
+        m.write(b.base().add(10), b"xy").unwrap();
+        m.write(b.base().add(3000), b"z").unwrap();
+        let page = m.read_vec(b.base(), PAGE_SIZE).unwrap();
+        let mut want = vec![0u8; PAGE_SIZE];
+        want[10..12].copy_from_slice(b"xy");
+        want[3000] = b'z';
+        assert_eq!(page, want);
+    }
+
+    #[test]
+    fn recycled_multi_frame_run_reads_as_zero() {
+        // The 64 KB TSO skb: 17 frames written end to end, freed, and
+        // handed out again from the recycle pool.
+        let m = mem(64);
+        let a = m.alloc_frames(NumaDomain(0), 17).unwrap();
+        let len = 17 * PAGE_SIZE;
+        m.fill(a.base(), 0x5c, len).unwrap();
+        m.free_frames(a, 17).unwrap();
+        let b = m.alloc_frames(NumaDomain(0), 17).unwrap();
+        assert_eq!(b, a, "the run reuses the recycled frames");
+        assert_eq!(m.read_vec(b.base(), len).unwrap(), vec![0u8; len]);
+        assert!(m.equals(b.base(), &vec![0u8; len]).unwrap());
+        let mut visited = Vec::new();
+        m.visit(b.base(), len, |part| visited.extend_from_slice(part))
+            .unwrap();
+        assert_eq!(visited, vec![0u8; len]);
+    }
+
+    #[test]
+    fn copy_from_partly_initialised_source() {
+        let m = mem(16);
+        let src = m.alloc_frames(NumaDomain(0), 2).unwrap();
+        let dst = m.alloc_frames(NumaDomain(0), 2).unwrap();
+        // Dirty the destination everywhere, the source only at its start.
+        m.fill(dst.base(), 0xff, 2 * PAGE_SIZE).unwrap();
+        m.write(src.base(), b"head").unwrap();
+        m.write(src.base().add(PAGE_SIZE as u64 + 100), b"mid")
+            .unwrap();
+        m.copy(src.base(), dst.base(), 2 * PAGE_SIZE).unwrap();
+        let mut want = vec![0u8; 2 * PAGE_SIZE];
+        want[..4].copy_from_slice(b"head");
+        want[PAGE_SIZE + 100..PAGE_SIZE + 103].copy_from_slice(b"mid");
+        assert_eq!(m.read_vec(dst.base(), 2 * PAGE_SIZE).unwrap(), want);
+    }
+
+    /// Random alloc/free/write/read/equals/copy/visit sequences against a
+    /// model that keeps one plain zeroed-on-alloc `Vec<u8>` per frame.
+    #[test]
+    fn matches_a_zero_on_alloc_model() {
+        use simcore::SimRng;
+        use std::collections::HashMap;
+
+        const FRAMES: u64 = 96;
+        fn model_read(model: &HashMap<u64, Vec<u8>>, pa: PhysAddr, len: usize) -> Vec<u8> {
+            (0..len)
+                .map(|i| {
+                    let cur = pa.add(i as u64);
+                    model[&cur.pfn().0][cur.page_offset()]
+                })
+                .collect()
+        }
+        fn model_write(model: &mut HashMap<u64, Vec<u8>>, pa: PhysAddr, data: &[u8]) {
+            for (i, &b) in data.iter().enumerate() {
+                let cur = pa.add(i as u64);
+                model.get_mut(&cur.pfn().0).unwrap()[cur.page_offset()] = b;
+            }
+        }
+        /// A random `(pa, len)` inside run `(pfn, n)`, up to 3 pages long.
+        fn span(rng: &mut SimRng, (pfn, n): (Pfn, u64)) -> (PhysAddr, usize) {
+            let bytes = n * PAGE_SIZE as u64;
+            let off = rng.below(bytes);
+            let len = 1 + rng.below((bytes - off).min(3 * PAGE_SIZE as u64));
+            (pfn.base().add(off), len as usize)
+        }
+
+        let mut rng = SimRng::seed(0x1a2b_3c4d);
+        for _ in 0..8 {
+            let m = mem(FRAMES);
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let mut runs: Vec<(Pfn, u64)> = Vec::new();
+            for _ in 0..400 {
+                match rng.below(8) {
+                    0 | 1 => {
+                        let n = if rng.chance(0.3) { 17 } else { rng.range(1, 6) };
+                        let Ok(pfn) = m.alloc_frames(NumaDomain(0), n) else {
+                            continue;
+                        };
+                        for i in 0..n {
+                            let prev = model.insert(pfn.0 + i, vec![0u8; PAGE_SIZE]);
+                            assert!(prev.is_none(), "frame {} handed out twice", pfn.0 + i);
+                        }
+                        runs.push((pfn, n));
+                    }
+                    2 if !runs.is_empty() => {
+                        let (pfn, n) = runs.swap_remove(rng.below(runs.len() as u64) as usize);
+                        m.free_frames(pfn, n).unwrap();
+                        for i in 0..n {
+                            model.remove(&(pfn.0 + i));
+                        }
+                    }
+                    3 if !runs.is_empty() => {
+                        let run = runs[rng.below(runs.len() as u64) as usize];
+                        let (pa, len) = span(&mut rng, run);
+                        let data = rng.bytes(len);
+                        m.write(pa, &data).unwrap();
+                        model_write(&mut model, pa, &data);
+                    }
+                    4 if !runs.is_empty() => {
+                        let run = runs[rng.below(runs.len() as u64) as usize];
+                        let (pa, len) = span(&mut rng, run);
+                        assert_eq!(m.read_vec(pa, len).unwrap(), model_read(&model, pa, len));
+                    }
+                    5 if !runs.is_empty() => {
+                        let run = runs[rng.below(runs.len() as u64) as usize];
+                        let (pa, len) = span(&mut rng, run);
+                        let mut want = model_read(&model, pa, len);
+                        assert!(m.equals(pa, &want).unwrap());
+                        let flip = rng.below(len as u64) as usize;
+                        want[flip] ^= 1 << rng.below(8);
+                        assert!(!m.equals(pa, &want).unwrap());
+                    }
+                    6 if runs.len() >= 2 => {
+                        let i = rng.below(runs.len() as u64) as usize;
+                        let j = (i + 1 + rng.below(runs.len() as u64 - 1) as usize) % runs.len();
+                        let (src, len) = span(&mut rng, runs[i]);
+                        let (dst, room) = span(&mut rng, runs[j]);
+                        let len = len.min(room);
+                        m.copy(src, dst, len).unwrap();
+                        let moved = model_read(&model, src, len);
+                        model_write(&mut model, dst, &moved);
+                    }
+                    7 if !runs.is_empty() => {
+                        let run = runs[rng.below(runs.len() as u64) as usize];
+                        let (pa, len) = span(&mut rng, run);
+                        let mut streamed = Vec::new();
+                        m.visit(pa, len, |part| {
+                            assert!(!part.is_empty(), "visit hands out no empty slices");
+                            streamed.extend_from_slice(part);
+                        })
+                        .unwrap();
+                        assert_eq!(streamed, model_read(&model, pa, len));
+                    }
+                    _ => {
+                        // An access to a frame the model says is free
+                        // must fail as unallocated.
+                        let pfn = Pfn(rng.below(FRAMES));
+                        if !model.contains_key(&pfn.0) {
+                            let err = m.read_vec(pfn.base(), 1).unwrap_err();
+                            assert_eq!(err, MemError::Unallocated(pfn));
+                        }
+                    }
+                }
+            }
+            let held: u64 = runs.iter().map(|&(_, n)| n).sum();
+            assert_eq!(m.stats().allocated_frames, held);
+        }
     }
 }

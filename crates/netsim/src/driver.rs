@@ -4,23 +4,15 @@
 //! `dma_map` it, post a descriptor, let the NIC DMA, reap the completion,
 //! `dma_unmap`, hand the data to the stack. Every step both *does the
 //! work* (real bytes, real descriptors, real mappings) and *charges the
-//! modeled cost*.
+//! modeled cost*. On transmit the NIC streams the wire bytes straight into
+//! a check against the caller's payload, so verifying them copies nothing.
 
 // lint: allow(panic) — the driver posted the mapping itself; a fault means the protection scheme is broken
 
 use crate::setup::SimStack;
-use devices::{Nic, DESC_BYTES, MTU};
+use devices::{Nic, TxCompletion, DESC_BYTES, MTU};
 use dma_api::{DmaBuf, DmaDirection};
 use simcore::{CoreCtx, CoreId, Cycles, Phase};
-use std::cell::RefCell;
-
-thread_local! {
-    /// Wire-payload scratch, reused across packets so TX reassembly does
-    /// not allocate up to `tso_max` bytes per transmitted buffer.
-    /// Thread-local (rather than global) because stacks on different host
-    /// threads may transmit concurrently in tests.
-    static TX_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Ethernet + IP + TCP header bytes added to each wire frame.
 pub const HEADER_BYTES: usize = 66;
@@ -53,6 +45,39 @@ pub fn post_tx_at(stack: &SimStack, ring: usize, slot: usize, iova: u64, len: u3
         .mem
         .write(stack.tx_rings[ring].pa.add((slot * DESC_BYTES) as u64), &d)
         .expect("ring memory is allocated");
+}
+
+/// Compares a byte stream that arrives in chunks (the NIC's TX sink) with
+/// the payload it should reproduce.
+#[derive(Debug)]
+struct WireCheck<'a> {
+    expected: &'a [u8],
+    seen: usize,
+    intact: bool,
+}
+
+impl<'a> WireCheck<'a> {
+    /// A check against `expected`, having seen nothing yet.
+    fn new(expected: &'a [u8]) -> Self {
+        WireCheck {
+            expected,
+            seen: 0,
+            intact: true,
+        }
+    }
+
+    /// Takes the next chunk of the stream.
+    fn feed(&mut self, chunk: &[u8]) {
+        let end = self.seen + chunk.len();
+        self.intact = self.intact && self.expected.get(self.seen..end) == Some(chunk);
+        self.seen = end;
+    }
+
+    /// Whether the stream reproduced `expected` exactly: every byte equal
+    /// and neither shorter nor longer.
+    fn intact(&self) -> bool {
+        self.intact && self.seen == self.expected.len()
+    }
 }
 
 /// Per-core driver state: which ring this core owns.
@@ -189,22 +214,12 @@ impl CoreDriver {
         post_tx(stack, self.ring, mapping.iova.get(), len as u32);
 
         // The NIC fetches the payload and segments it onto the wire.
-        let completion = TX_SCRATCH.with(|scratch| {
-            let mut wire_bytes = scratch.borrow_mut();
-            let completion = stack
-                .nic
-                .transmit_into(self.ring, &mut wire_bytes)
-                .expect("NIC transmit must succeed through a live mapping");
-            if verify {
-                assert_eq!(
-                    *wire_bytes,
-                    payload,
-                    "payload corrupted on the way to the wire ({})",
-                    stack.engine.name()
-                );
-            }
-            completion
-        });
+        let (completion, intact) = self.transmit_checked(stack, 1, payload, verify);
+        assert!(
+            intact,
+            "payload corrupted on the way to the wire ({})",
+            stack.engine.name()
+        );
 
         // Completion: unmap and free.
         stack.engine.unmap(ctx, mapping).expect("dma_unmap");
@@ -282,22 +297,12 @@ impl CoreDriver {
                 m.len as u32,
             );
         }
-        let completion = TX_SCRATCH.with(|scratch| {
-            let mut wire_bytes = scratch.borrow_mut();
-            let completion = stack
-                .nic
-                .transmit_gather_into(self.ring, mappings.len(), &mut wire_bytes)
-                .expect("NIC gather transmit");
-            if verify {
-                assert_eq!(
-                    *wire_bytes,
-                    payload,
-                    "scatter/gather payload corrupted ({})",
-                    stack.engine.name()
-                );
-            }
-            completion
-        });
+        let (completion, intact) = self.transmit_checked(stack, mappings.len(), payload, verify);
+        assert!(
+            intact,
+            "scatter/gather payload corrupted ({})",
+            stack.engine.name()
+        );
         stack.engine.unmap_sg(ctx, mappings).expect("dma_unmap_sg");
         obs::profile::scope(ctx, "skb_free", |ctx| {
             for _ in &pas {
@@ -312,6 +317,29 @@ impl CoreDriver {
         stack.net.tx_bytes.add(completion.len as u64);
         stack.net.tx_frames.add(completion.frames as u64);
         (completion.len, completion.frames)
+    }
+
+    /// The NIC sends the `n`-descriptor chain at the head of this core's
+    /// TX ring. With `verify`, the wire bytes stream into a [`WireCheck`]
+    /// against `payload` as the NIC fetches them. Returns the completion
+    /// and whether the wire matched (always `true` without `verify`).
+    fn transmit_checked(
+        &self,
+        stack: &SimStack,
+        n: usize,
+        payload: &[u8],
+        verify: bool,
+    ) -> (TxCompletion, bool) {
+        let mut wire = WireCheck::new(payload);
+        let completion = stack
+            .nic
+            .transmit_gather_with(self.ring, n, |chunk| {
+                if verify {
+                    wire.feed(chunk);
+                }
+            })
+            .expect("NIC transmit must succeed through a live mapping");
+        (completion, !verify || wire.intact())
     }
 
     /// Puts this buffer's wire frames on the link, returning when the last
@@ -425,18 +453,82 @@ mod tests {
         assert!(stack.mmu.iotlb_stats().hits + stack.mmu.iotlb_stats().misses > 0);
     }
 
+    /// A 64-byte frame whose "IP header" (first two bytes) claims `len`.
+    fn frame_claiming(len: u16) -> Vec<u8> {
+        let mut p: Vec<u8> = (0..64).map(|i| (i * 7 + 1) as u8).collect();
+        p[0..2].copy_from_slice(&len.to_be_bytes());
+        p
+    }
+
+    fn hinted_copy_stack() -> SimStack {
+        let cfg = ExpConfig {
+            use_copy_hint: true,
+            ..ExpConfig::quick()
+        };
+        SimStack::new(EngineKind::Copy, &cfg)
+    }
+
     #[test]
-    fn payload_corruption_is_detected() {
-        // Sanity check that verification actually compares bytes: corrupt
-        // the OS buffer reading path by delivering through an engine and
-        // checking a *different* payload panics.
-        let stack = SimStack::new(EngineKind::NoIommu, &ExpConfig::quick());
+    fn honest_length_survives_the_copy_hint() {
+        let stack = hinted_copy_stack();
         let mut c = ctx(&stack, 0);
-        let drv = CoreDriver::new(CoreId(0));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // rx_one verifies against the payload it delivered — always ok.
-            drv.rx_one(&stack, &mut c, &[1u8; 64], true)
-        }));
-        assert!(r.is_ok());
+        let n = CoreDriver::new(CoreId(0)).rx_one(&stack, &mut c, &frame_claiming(64), true);
+        assert_eq!(n, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload corrupted in delivery (copy)")]
+    fn payload_corruption_is_detected() {
+        // The copying hint trusts the frame's length field, so a frame
+        // that understates it is copied back truncated: the OS buffer
+        // misses bytes 10..64 and the verify must catch it.
+        let stack = hinted_copy_stack();
+        let mut c = ctx(&stack, 0);
+        CoreDriver::new(CoreId(0)).rx_one(&stack, &mut c, &frame_claiming(10), true);
+    }
+
+    #[test]
+    fn wire_check_accepts_the_exact_stream() {
+        let payload: Vec<u8> = (0..100).collect();
+        let mut w = WireCheck::new(&payload);
+        for chunk in payload.chunks(30) {
+            w.feed(chunk);
+        }
+        w.feed(&[]);
+        assert!(w.intact());
+        assert!(
+            WireCheck::new(&[]).intact(),
+            "an empty stream matches an empty payload"
+        );
+    }
+
+    #[test]
+    fn wire_check_catches_a_mismatch_in_a_middle_chunk() {
+        let payload: Vec<u8> = (0..100).collect();
+        let mut bad = payload.clone();
+        bad[45] ^= 0x80;
+        let mut w = WireCheck::new(&payload);
+        for chunk in bad.chunks(30) {
+            w.feed(chunk);
+        }
+        assert!(!w.intact());
+    }
+
+    #[test]
+    fn wire_check_catches_a_short_stream() {
+        let payload: Vec<u8> = (0..100).collect();
+        let mut w = WireCheck::new(&payload);
+        w.feed(&payload[..60]);
+        w.feed(&payload[60..99]);
+        assert!(!w.intact());
+    }
+
+    #[test]
+    fn wire_check_catches_a_long_stream() {
+        let payload: Vec<u8> = (0..100).collect();
+        let mut w = WireCheck::new(&payload);
+        w.feed(&payload);
+        w.feed(&[0]);
+        assert!(!w.intact());
     }
 }
