@@ -5,6 +5,10 @@ export CARGO_NET_OFFLINE=true
 cargo build --release --workspace --all-targets
 cargo test -q --workspace
 cargo test -q --workspace --features dmasan-strict
+# The benchmark is a workspace of its own that compiles against netsim's
+# public API (`SimStack`, `ExpResult`, `EngineKind`); test it here so a
+# break shows up in CI, not only when the benchmark runs.
+cargo test -q --manifest-path perfbench/Cargo.toml
 # Lint, split like the workflow: the fast style + manifest pass first
 # (cheap, pre-commit-friendly), then the full pass (DMA protocol rules
 # the move-only handles cannot express, device-taint over the call graph,

@@ -3,7 +3,7 @@
 // lint: allow(panic) — attack rigs panic on broken simulation invariants, not recoverable errors
 
 use devices::MaliciousDevice;
-use dma_api::{Bus, DmaBuf, DmaDirection};
+use dma_api::{DmaBuf, DmaDirection};
 use dmasan::AccessVerdict;
 use memsim::PAGE_SIZE;
 use netsim::{EngineKind, ExpConfig, SimStack};
@@ -62,13 +62,7 @@ fn rig(kind: EngineKind) -> (SimStack, CoreCtx) {
 /// `dmasan-strict` CI pass green while still proving what the hardware
 /// let through).
 fn attacker(stack: &SimStack) -> MaliciousDevice {
-    let bus = match stack.kind {
-        EngineKind::NoIommu => Bus::Direct(stack.mem.clone()),
-        _ => Bus::Iommu {
-            mmu: stack.mmu.clone(),
-            mem: stack.mem.clone(),
-        },
-    };
+    let bus = stack.kind.bus(&stack.mem, &stack.mmu);
     MaliciousDevice::new(netsim::NIC_DEV, bus).with_sanitizer(stack.san.clone())
 }
 

@@ -144,7 +144,10 @@ impl DmaEngine for IdentityDma {
             name: self.name(),
             uses_iommu: true,
             sub_page: false,
-            no_vulnerability_window: self.strictness == Strictness::Strict,
+            // A batching IOMMU parks even a strict unmap's invalidation
+            // in the core's pending ring: a bounded §2.2.1 window.
+            no_vulnerability_window: self.strictness == Strictness::Strict
+                && !self.mmu.invalq().batching(),
         }
     }
 

@@ -82,9 +82,9 @@ impl LinuxDma {
     }
 
     /// Creates the strict engine with the magazine-backed per-core IOVA
-    /// allocator \[42\] in place of the global tree. Protection semantics
-    /// and the engine name are unchanged — only the allocator's lock
-    /// behavior differs, so scaling curves compare like for like.
+    /// allocator \[42\] in place of the global tree. The engine name is
+    /// unchanged — only the allocator's lock behavior differs, so scaling
+    /// curves compare like for like.
     pub fn percore_strict(
         mem: Arc<PhysMemory>,
         mmu: Arc<Iommu>,
@@ -172,7 +172,10 @@ impl DmaEngine for LinuxDma {
             name: self.name,
             uses_iommu: true,
             sub_page: false,
-            no_vulnerability_window: self.strictness == Strictness::Strict,
+            // A batching IOMMU parks even a strict unmap's invalidation
+            // in the core's pending ring: a bounded §2.2.1 window.
+            no_vulnerability_window: self.strictness == Strictness::Strict
+                && !self.mmu.invalq().batching(),
         }
     }
 

@@ -10,7 +10,7 @@
 //!    serialize (§2.2.1) — modeled with a [`SimLock`].
 
 use crate::{DeviceId, Iotlb, IovaPage, PendingRing};
-use obs::{Counter, EventKind, MetricKey, Obs};
+use obs::{Counter, EventKind, Obs};
 use simcore::sync::Mutex;
 use simcore::{CoreCtx, Cycles, Phase, SimLock};
 
@@ -108,35 +108,6 @@ impl InvalQueue {
         self.batch
             .as_ref()
             .map_or(0, |b| b.rings.iter().map(PendingRing::len).sum())
-    }
-
-    /// The calling core's pending ring, if batching is enabled (exposed
-    /// for contention statistics and tests).
-    pub fn pending_ring(&self, ctx: &CoreCtx) -> Option<&PendingRing> {
-        self.batch.as_ref().map(|b| b.ring(ctx))
-    }
-
-    /// Re-registers this queue's counters into `obs`'s registry and routes
-    /// future events to its tracer. Counts made so far stay visible.
-    pub fn rehome(&mut self, obs: Obs) {
-        let r = obs.registry();
-        r.adopt_counter(
-            MetricKey::new("invalq", "page_commands", None),
-            &self.page_commands,
-        );
-        r.adopt_counter(
-            MetricKey::new("invalq", "flush_commands", None),
-            &self.flush_commands,
-        );
-        r.adopt_counter(MetricKey::new("invalq", "waits", None), &self.waits);
-        if let Some(b) = &self.batch {
-            r.adopt_counter(
-                MetricKey::new("invalq", "pending_appended", None),
-                &b.pending_appended,
-            );
-            r.adopt_counter(MetricKey::new("invalq", "batch_drains", None), &b.drains);
-        }
-        self.obs = obs;
     }
 
     /// The queue's lock (exposed for contention statistics).

@@ -13,14 +13,13 @@
 use crate::exec::Executor;
 use crate::oracle::{self, AccessRecord, Board, WinState, BUF_LEN, TAIL_OFF};
 use dma_api::{
-    Bus, BusObserver, DmaBuf, DmaDirection, DmaEngine, DmaObserver, IdentityDma, LinuxDma, NoIommu,
-    ProtectionProfile, SelfInvalidatingDma, TracedDma,
+    Bus, BusObserver, DmaBuf, DmaDirection, DmaEngine, DmaObserver, ProtectionProfile, TracedDma,
 };
 use dmasan::DmaSan;
 use iommu::{DeviceId, Iommu};
 use memsim::{NumaTopology, PhysMemory};
+use netsim::{DmaPath, EngineKind, ExpConfig};
 use obs::Obs;
-use shadow_core::{MagazineConfig, PoolConfig, ShadowDma};
 use simcore::{CoreCtx, CoreId, CostModel, Cycles};
 use std::fmt;
 use std::sync::Arc;
@@ -32,87 +31,6 @@ pub const MC_DEV: DeviceId = DeviceId(7);
 /// page-tail secret at [`TAIL_OFF`], so a single read can demonstrate both
 /// the sub-page and the stale-window exposure.
 pub const PROBE_READ_LEN: usize = TAIL_OFF + 16;
-
-/// Pending-ring batch threshold for per-core rigs. Deliberately larger
-/// than the page count any bounded script posts (one page per mapper), so
-/// nothing drains mid-schedule and the bounded §2.2.1 window that per-core
-/// batching opens stays visible to the probing device.
-pub const MC_PERCORE_BATCH: usize = 4;
-
-/// The protection strategies the checker explores — the paper's Table 1
-/// set plus the no-IOMMU baseline and the self-invalidating ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// IOMMU bypassed entirely (worst case; window + sub-page exposure).
-    NoProtection,
-    /// DMA shadowing via the permanently-mapped shadow pool (*copy*).
-    Copy,
-    /// Strict identity mappings (*identity+*).
-    IdentityStrict,
-    /// Deferred identity mappings (*identity−*).
-    IdentityDeferred,
-    /// Stock Linux IOVA allocator, strict invalidation (*strict*).
-    LinuxStrict,
-    /// Stock Linux IOVA allocator, deferred invalidation (*defer*).
-    LinuxDeferred,
-    /// EiovaR range-cached allocator, strict (*eiovar+*).
-    EiovarStrict,
-    /// EiovaR range-cached allocator, deferred (*eiovar−*).
-    EiovarDeferred,
-    /// Self-invalidating IOMMU hardware ablation.
-    SelfInval,
-}
-
-impl Strategy {
-    /// Every strategy, in checking order.
-    pub const ALL: [Strategy; 9] = [
-        Strategy::Copy,
-        Strategy::IdentityStrict,
-        Strategy::LinuxStrict,
-        Strategy::EiovarStrict,
-        Strategy::SelfInval,
-        Strategy::IdentityDeferred,
-        Strategy::LinuxDeferred,
-        Strategy::EiovarDeferred,
-        Strategy::NoProtection,
-    ];
-
-    /// Short machine-readable name (used in fixtures and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::NoProtection => "no-iommu",
-            Strategy::Copy => "copy",
-            Strategy::IdentityStrict => "identity-strict",
-            Strategy::IdentityDeferred => "identity-deferred",
-            Strategy::LinuxStrict => "linux-strict",
-            Strategy::LinuxDeferred => "linux-deferred",
-            Strategy::EiovarStrict => "eiovar-strict",
-            Strategy::EiovarDeferred => "eiovar-deferred",
-            Strategy::SelfInval => "selfinval",
-        }
-    }
-
-    /// Parses [`Strategy::name`] back (for fixtures and the CLI).
-    pub fn from_name(s: &str) -> Option<Strategy> {
-        Strategy::ALL.into_iter().find(|k| k.name() == s)
-    }
-
-    /// Whether the engine defers IOTLB invalidation (and therefore needs
-    /// the extra `flush` script step and is *expected* to show the
-    /// vulnerability window).
-    pub fn is_deferred(self) -> bool {
-        matches!(
-            self,
-            Strategy::IdentityDeferred | Strategy::LinuxDeferred | Strategy::EiovarDeferred
-        )
-    }
-}
-
-impl fmt::Display for Strategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One fully-built model-checking configuration, fresh per run.
 ///
@@ -142,8 +60,8 @@ pub struct Rig {
     /// Mapper thread count (thread ids `0..mappers`; the device is
     /// `mappers`).
     pub mappers: usize,
-    /// Strategy this rig was built for.
-    pub strategy: Strategy,
+    /// The engine this rig was built for.
+    pub kind: EngineKind,
     /// Whether the rig was built with per-core allocation state (shadow
     /// pool magazines, per-core IOVA allocator, batched invalidation
     /// rings).
@@ -161,109 +79,39 @@ impl Rig {
     /// (pattern + page-tail secret), and the yield hook installed on the
     /// rig's private telemetry handle.
     ///
-    /// With `percore`, the hot allocation state is sharded per simulated
-    /// core the way `netsim`'s `percore` configs shard it: the shadow pool
-    /// gets per-core magazines, the Linux engines the per-core IOVA
-    /// allocator, and the IOMMU per-core pending-invalidation rings
-    /// (batch threshold [`MC_PERCORE_BATCH`]). Batching parks synchronous
-    /// page invalidations, so strict engines that stake their no-window
-    /// claim on them reopen a *bounded* §2.2.1 window — the rig records
-    /// that in the expected profile, and the explorer proves it exists.
-    pub fn build(strategy: Strategy, mappers: usize, with_san: bool, percore: bool) -> Rig {
+    /// The IOMMU, engine and bus come from [`EngineKind::build`] with one
+    /// core per mapper, so `percore` shards the hot allocation state
+    /// exactly as `netsim`'s `percore` configs do: pool magazines, the
+    /// per-core IOVA allocator, and per-core pending-invalidation rings.
+    /// Batching parks synchronous page invalidations, so the strict engines
+    /// that stake their no-window claim on them report a *bounded* §2.2.1
+    /// window in their profile, and the explorer proves it exists. The
+    /// ring threshold (`netsim::PERCORE_INVALQ_BATCH`) exceeds the pages
+    /// any bounded script posts (one per mapper), so no ring drains
+    /// mid-schedule and that window stays visible to the probing device.
+    pub fn build(kind: EngineKind, mappers: usize, with_san: bool, percore: bool) -> Rig {
         assert!(mappers >= 1, "need at least one mapper");
         let obs = Obs::with_trace_capacity(4096);
         obs.set_trace_sampling(1);
         let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(256)));
-        let mmu = if percore {
-            Arc::new(Iommu::with_obs_batched(
-                obs.clone(),
-                mappers,
-                MC_PERCORE_BATCH,
-            ))
-        } else {
-            Arc::new(Iommu::with_obs(obs.clone()))
+        let cfg = ExpConfig {
+            cores: mappers,
+            percore,
+            ..ExpConfig::quick()
         };
-        let engine: Box<dyn DmaEngine> = match strategy {
-            Strategy::NoProtection => Box::new(NoIommu::new(mem.clone(), MC_DEV)),
-            Strategy::Copy => Box::new(ShadowDma::new(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                PoolConfig {
-                    magazines: percore.then(MagazineConfig::default),
-                    ..PoolConfig::default()
-                },
-            )),
-            Strategy::IdentityStrict => {
-                Box::new(IdentityDma::strict(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::IdentityDeferred => Box::new(IdentityDma::deferred(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                mappers,
-            )),
-            Strategy::LinuxStrict if percore => Box::new(LinuxDma::percore_strict(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                mappers,
-            )),
-            Strategy::LinuxStrict => Box::new(LinuxDma::strict(mem.clone(), mmu.clone(), MC_DEV)),
-            Strategy::LinuxDeferred if percore => Box::new(LinuxDma::percore_deferred(
-                mem.clone(),
-                mmu.clone(),
-                MC_DEV,
-                mappers,
-            )),
-            Strategy::LinuxDeferred => {
-                Box::new(LinuxDma::deferred(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::EiovarStrict => {
-                Box::new(LinuxDma::eiovar_strict(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::EiovarDeferred => {
-                Box::new(LinuxDma::eiovar_deferred(mem.clone(), mmu.clone(), MC_DEV))
-            }
-            Strategy::SelfInval => {
-                Box::new(SelfInvalidatingDma::new(mem.clone(), mmu.clone(), MC_DEV))
-            }
-        };
+        let DmaPath { mmu, engine, bus } = kind.build(&cfg, &mem, &obs, MC_DEV);
         // Always wrap in TracedDma so counterexample traces show the
         // map/unmap lifecycle; attach the sanitizer when cross-checking.
         let san = with_san.then(|| Arc::new(DmaSan::lenient(obs.clone())));
         let engine: Arc<dyn DmaEngine> = match &san {
-            Some(san) => Arc::from(Box::new(TracedDma::with_observer(
+            Some(san) => Arc::new(TracedDma::with_observer(
                 engine,
                 obs.clone(),
                 san.clone() as Arc<dyn DmaObserver>,
-            )) as Box<dyn DmaEngine>),
-            None => Arc::from(Box::new(TracedDma::new(engine, obs.clone())) as Box<dyn DmaEngine>),
+            )),
+            None => Arc::new(TracedDma::new(engine, obs.clone())),
         };
-        let mut profile = engine.profile();
-        // Per-core batching parks page invalidations in the calling core's
-        // pending ring until the batch threshold, so a strict engine whose
-        // no-window claim rests on *synchronous* page invalidation opens a
-        // bounded window under it. Expect that window, so the explorer
-        // reports it as found (not as a checker failure). Copy (permanent
-        // shadow mappings, no unmap invalidations) and the self-
-        // invalidating ablation (hardware path, no queue) keep their
-        // claims.
-        if percore
-            && matches!(
-                strategy,
-                Strategy::IdentityStrict | Strategy::LinuxStrict | Strategy::EiovarStrict
-            )
-        {
-            profile.no_vulnerability_window = false;
-        }
-        let bus = match strategy {
-            Strategy::NoProtection => Bus::Direct(mem.clone()),
-            _ => Bus::Iommu {
-                mmu: mmu.clone(),
-                mem: mem.clone(),
-            },
-        };
+        let profile = engine.profile();
         let bus = match &san {
             Some(san) => bus.observed(san.clone() as Arc<dyn BusObserver>),
             None => bus,
@@ -296,7 +144,7 @@ impl Rig {
             san,
             profile,
             mappers,
-            strategy,
+            kind,
             percore,
         }
     }
@@ -311,7 +159,7 @@ impl Rig {
             let engine = self.engine.clone();
             let mem = self.mem.clone();
             let board = self.board.clone();
-            let deferred = self.strategy.is_deferred();
+            let deferred = self.kind.is_deferred();
             handles.push(std::thread::spawn(move || {
                 exec.run_worker(m, move || mapper_script(m, &engine, &mem, &board, deferred));
             }));
@@ -332,7 +180,7 @@ impl Rig {
 impl fmt::Debug for Rig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Rig")
-            .field("strategy", &self.strategy)
+            .field("kind", &self.kind)
             .field("mappers", &self.mappers)
             .field("percore", &self.percore)
             .finish()

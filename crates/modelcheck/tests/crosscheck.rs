@@ -15,9 +15,9 @@
 //! over-approximation down: oracle clean, dmasan reports only
 //! `StaleAccess`, and at least one such report exists (the gap is real).
 
-use modelcheck::{explore, Config, Strategy};
+use modelcheck::{explore, Config, EngineKind};
 
-fn crosscheck_config(strategy: Strategy) -> Config {
+fn crosscheck_config(strategy: EngineKind) -> Config {
     let mut cfg = Config::new(strategy);
     cfg.preemption_bound = 0; // single-threaded traces only
     cfg.dpor = false; // enumerate every completion order
@@ -29,11 +29,11 @@ fn crosscheck_config(strategy: Strategy) -> Config {
 #[test]
 fn dmasan_agrees_with_oracle_on_serial_traces_of_zero_copy_engines() {
     for strategy in [
-        Strategy::NoProtection,
-        Strategy::LinuxStrict,
-        Strategy::IdentityStrict,
-        Strategy::LinuxDeferred,
-        Strategy::IdentityDeferred,
+        EngineKind::NoIommu,
+        EngineKind::LinuxStrict,
+        EngineKind::IdentityPlus,
+        EngineKind::LinuxDefer,
+        EngineKind::IdentityMinus,
     ] {
         let r = explore(&crosscheck_config(strategy));
         assert!(r.exhausted, "{strategy}: serial space not covered");
@@ -67,7 +67,7 @@ fn dmasan_agrees_with_oracle_on_serial_traces_of_zero_copy_engines() {
         }
         // The agreement must be exercised positively somewhere: the
         // no-IOMMU baseline grants stale accesses on serial traces.
-        if strategy == Strategy::NoProtection {
+        if strategy == EngineKind::NoIommu {
             assert!(
                 r.run_summaries
                     .iter()
@@ -80,7 +80,7 @@ fn dmasan_agrees_with_oracle_on_serial_traces_of_zero_copy_engines() {
 
 #[test]
 fn dmasan_overapproximates_copy_and_oracle_refines_it() {
-    let r = explore(&crosscheck_config(Strategy::Copy));
+    let r = explore(&crosscheck_config(EngineKind::Copy));
     assert!(r.exhausted && r.panics.is_empty());
     // Effect oracle: shadowing is clean on every serial trace.
     assert!(

@@ -12,9 +12,9 @@
 //!   for engines whose no-window claim rests on synchronous page
 //!   invalidation, and the checker exhibits it as a concrete schedule.
 
-use modelcheck::{explore, Config, Strategy};
+use modelcheck::{explore, Config, EngineKind};
 
-fn percore_cfg(strategy: Strategy) -> Config {
+fn percore_cfg(strategy: EngineKind) -> Config {
     let mut cfg = Config::new(strategy);
     cfg.percore = true;
     cfg
@@ -24,7 +24,7 @@ fn percore_cfg(strategy: Strategy) -> Config {
 fn percore_copy_is_still_provably_safe() {
     // The copy proof must survive the magazine layer: same bounded space,
     // zero violations, despite the extra magazine-lock preemption points.
-    let r = explore(&percore_cfg(Strategy::Copy));
+    let r = explore(&percore_cfg(EngineKind::Copy));
     assert!(r.exhausted, "bounded space not fully explored");
     assert!(!r.found_window, "copy+magazines must have no window");
     assert!(!r.found_subpage, "copy+magazines must protect sub-page");
@@ -38,7 +38,7 @@ fn percore_batching_reopens_a_bounded_window_for_strict() {
     // calling core's pending ring — until the drain the stale IOTLB entry
     // is live. The checker must find that window as a concrete schedule,
     // and the rig must expect it (no `unexpected` checker failure).
-    let mut cfg = percore_cfg(Strategy::LinuxStrict);
+    let mut cfg = percore_cfg(EngineKind::LinuxStrict);
     cfg.stop_at_first_window = true;
     let r = explore(&cfg);
     assert!(
@@ -61,7 +61,7 @@ fn global_strict_remains_window_free_under_the_same_bounds() {
     // The control: the exact configuration that shows the window above,
     // minus `percore`, proves no window exists. The regression is the
     // batching, not the checker.
-    let r = explore(&Config::new(Strategy::LinuxStrict));
+    let r = explore(&Config::new(EngineKind::LinuxStrict));
     assert!(r.exhausted, "bounded space not fully explored");
     assert!(!r.found_window, "global strict must stay window-free");
     assert!(r.unexpected.is_none(), "{:?}", r.unexpected);

@@ -2,12 +2,12 @@
 //! bounded exploration; strict engines show no vulnerability window;
 //! deferred engines produce the window counterexample.
 
-use modelcheck::{explore, Config, Strategy};
+use modelcheck::{explore, Config, EngineKind};
 
 #[test]
 fn copy_is_proved_safe_within_bounds() {
     // 2 mappers × 1 device, preemption bound 3: the acceptance floor.
-    let cfg = Config::new(Strategy::Copy);
+    let cfg = Config::new(EngineKind::Copy);
     assert!(cfg.mappers >= 2 && cfg.preemption_bound >= 3);
     let r = explore(&cfg);
     assert!(r.panics.is_empty(), "worker panics: {:?}", r.panics);
@@ -31,7 +31,7 @@ fn copy_is_proved_safe_within_bounds() {
 
 #[test]
 fn strict_engines_have_no_window_within_bounds() {
-    for strategy in [Strategy::LinuxStrict, Strategy::IdentityStrict] {
+    for strategy in [EngineKind::LinuxStrict, EngineKind::IdentityPlus] {
         let r = explore(&Config::new(strategy));
         assert!(r.panics.is_empty(), "{strategy}: panics: {:?}", r.panics);
         assert!(r.exhausted, "{strategy}: space not fully explored");
@@ -52,14 +52,14 @@ fn strict_engines_have_no_window_within_bounds() {
 
 #[test]
 fn deferred_engine_yields_window_counterexample() {
-    let mut cfg = Config::new(Strategy::LinuxDeferred);
+    let mut cfg = Config::new(EngineKind::LinuxDefer);
     cfg.stop_at_first_window = true;
     let r = explore(&cfg);
     assert!(r.panics.is_empty(), "panics: {:?}", r.panics);
     assert!(r.found_window, "deferred invalidation window not found");
     let cx = r.window_example.expect("counterexample recorded");
     assert_eq!(cx.kind, "window");
-    assert_eq!(cx.strategy, "linux-deferred");
+    assert_eq!(cx.strategy, "defer");
     assert!(!cx.schedule.is_empty(), "counterexample has a schedule");
     assert!(!cx.trace.is_empty(), "counterexample carries its trace");
 }
@@ -69,7 +69,7 @@ fn preemption_bound_zero_serializes_threads() {
     // Bound 0 admits only thread-completion orders: with 3 threads that
     // is at most 3! = 6 schedules (fewer when a thread has already
     // finished before a switch point).
-    let mut cfg = Config::new(Strategy::LinuxStrict);
+    let mut cfg = Config::new(EngineKind::LinuxStrict);
     cfg.preemption_bound = 0;
     cfg.dpor = false;
     let r = explore(&cfg);
@@ -80,9 +80,9 @@ fn preemption_bound_zero_serializes_threads() {
 
 #[test]
 fn dpor_prunes_without_changing_verdicts() {
-    let mut plain = Config::new(Strategy::LinuxDeferred);
+    let mut plain = Config::new(EngineKind::LinuxDefer);
     plain.dpor = false;
-    let mut pruned = Config::new(Strategy::LinuxDeferred);
+    let mut pruned = Config::new(EngineKind::LinuxDefer);
     pruned.dpor = true;
     let rp = explore(&plain);
     let rq = explore(&pruned);

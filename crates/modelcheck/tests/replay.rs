@@ -5,7 +5,7 @@
 
 // lint: allow(ambient-io) — reads the committed counterexample fixture
 
-use modelcheck::{replay, Config, Counterexample, Step, Strategy, ViolationClass};
+use modelcheck::{replay, Config, Counterexample, EngineKind, Step, ViolationClass};
 use obs::Json;
 
 fn load_fixture() -> Counterexample {
@@ -24,7 +24,7 @@ fn load_fixture() -> Counterexample {
 fn committed_counterexample_reproduces_window_violation() {
     let cx = load_fixture();
     assert_eq!(cx.kind, "window", "fixture must witness the window");
-    let strategy = Strategy::from_name(&cx.strategy).expect("fixture strategy exists");
+    let strategy = EngineKind::from_name(&cx.strategy).expect("fixture strategy exists");
     assert!(
         strategy.is_deferred(),
         "the window belongs to deferred engines"
@@ -44,7 +44,7 @@ fn committed_counterexample_reproduces_window_violation() {
 #[test]
 fn replay_detects_schedule_divergence() {
     let cx = load_fixture();
-    let strategy = Strategy::from_name(&cx.strategy).expect("fixture strategy exists");
+    let strategy = EngineKind::from_name(&cx.strategy).expect("fixture strategy exists");
     let cfg = Config::new(strategy);
     // Corrupt one recorded label: replay must refuse, not misattribute.
     let mut bad: Vec<Step> = cx.schedule.clone();

@@ -144,7 +144,7 @@ impl CoreDriver {
         // are one burst: the clock advances per charge (virtual-time
         // ordering unchanged), the breakdown is committed once, before the
         // profiler scope exits so the depth-1 cut still matches the
-        // registry breakdown cycle for cycle.
+        // cores' breakdown cycle for cycle.
         obs::profile::scope(ctx, "deliver", |ctx| {
             ctx.burst(|ctx, b| {
                 ctx.charge_batch(b, Phase::RxParsing, ctx.cost.rx_parse);

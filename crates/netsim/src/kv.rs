@@ -177,10 +177,7 @@ pub fn memcached(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
         bytes += t.meas_bytes;
     }
     let cpu = sim.ctxs().iter().map(|c| c.utilization()).sum::<f64>() / cfg.cores as f64;
-    let total: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum::<Breakdown>();
-    let dev = Some(crate::setup::NIC_DEV.0);
-    obs::breakdown::record_breakdown(stack.obs.registry(), dev, &total);
-    let per_item = obs::breakdown::breakdown_view(stack.obs.registry(), dev);
+    let phases: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum();
     ExpResult {
         engine: kind.name(),
         cores: cfg.cores,
@@ -189,7 +186,8 @@ pub fn memcached(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
         cpu,
         items,
         bytes,
-        per_item: per_item.per_item(items),
+        per_item: phases.per_item(items),
+        phases,
         clock_ghz: clock,
         latency_us: None,
         transactions_per_sec: Some(tps),

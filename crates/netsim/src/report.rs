@@ -22,6 +22,9 @@ pub struct ExpResult {
     pub bytes: u64,
     /// Average per-item phase breakdown.
     pub per_item: Breakdown,
+    /// Phase cycles summed over every driving core's measured window (the
+    /// total `per_item` averages).
+    pub phases: Breakdown,
     /// Modeled clock (GHz) for time conversions.
     pub clock_ghz: f64,
     /// Round-trip latency, for TCP_RR.
@@ -132,6 +135,8 @@ mod tests {
     fn result(engine: &'static str, gbps: f64, cpu: f64) -> ExpResult {
         let mut b = Breakdown::new();
         b.record(Phase::Memcpy, Cycles(264));
+        let mut phases = Breakdown::new();
+        phases.record(Phase::Memcpy, Cycles(26_400));
         ExpResult {
             engine,
             cores: 1,
@@ -141,6 +146,7 @@ mod tests {
             items: 100,
             bytes: 150_000,
             per_item: b,
+            phases,
             clock_ghz: 2.4,
             latency_us: None,
             transactions_per_sec: None,

@@ -4,7 +4,7 @@ use crate::driver::{CoreDriver, HEADER_BYTES};
 use crate::report::ExpResult;
 use crate::setup::{EngineKind, ExpConfig, SimStack};
 use devices::MTU;
-use simcore::{Breakdown, CoreCtx, CoreId, Cycles};
+use simcore::{CoreCtx, CoreId, Cycles};
 
 /// Remote peer turnaround (its full network stack plus netperf), modeled as
 /// a constant because the remote machine is not under evaluation.
@@ -92,10 +92,6 @@ pub fn tcp_rr(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
     } else {
         0.0
     };
-    let dev = Some(crate::setup::NIC_DEV.0);
-    obs::breakdown::record_breakdown(stack.obs.registry(), dev, &ctx.breakdown);
-    let per_item: Breakdown =
-        obs::breakdown::breakdown_view(stack.obs.registry(), dev).per_item(measured);
     ExpResult {
         engine: kind.name(),
         cores: 1,
@@ -104,7 +100,8 @@ pub fn tcp_rr(kind: EngineKind, cfg: &ExpConfig) -> ExpResult {
         cpu: ctx.utilization(),
         items: measured,
         bytes,
-        per_item,
+        per_item: ctx.breakdown.per_item(measured),
+        phases: ctx.breakdown,
         clock_ghz: clock,
         latency_us: Some(latency_sum.to_micros(clock) / measured.max(1) as f64),
         transactions_per_sec: None,

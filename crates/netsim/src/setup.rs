@@ -54,6 +54,20 @@ impl EngineKind {
         EngineKind::LinuxStrict,
     ];
 
+    /// Every engine [`EngineKind::build`] builds: Table 1's eight plus the
+    /// self-invalidating ablation.
+    pub const EVERY: [EngineKind; 9] = [
+        EngineKind::NoIommu,
+        EngineKind::Copy,
+        EngineKind::IdentityMinus,
+        EngineKind::IdentityPlus,
+        EngineKind::EiovarDefer,
+        EngineKind::EiovarStrict,
+        EngineKind::LinuxDefer,
+        EngineKind::LinuxStrict,
+        EngineKind::SelfInvalHw,
+    ];
+
     /// The four engines shown in Figures 3–11.
     pub const FIGURE_SET: [EngineKind; 4] = [
         EngineKind::NoIommu,
@@ -76,12 +90,115 @@ impl EngineKind {
             EngineKind::SelfInvalHw => "self-inval hw",
         }
     }
+
+    /// Parses [`EngineKind::name`] back (for fixtures and reports).
+    pub fn from_name(name: &str) -> Option<EngineKind> {
+        EngineKind::EVERY.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Whether the engine defers IOTLB invalidation to a batched flush —
+    /// the engines Table 1 marks as having a vulnerability window.
+    pub fn is_deferred(self) -> bool {
+        matches!(
+            self,
+            EngineKind::IdentityMinus | EngineKind::LinuxDefer | EngineKind::EiovarDefer
+        )
+    }
+
+    /// The path a device takes to memory under this engine: straight to
+    /// physical memory without an IOMMU, through `mmu` otherwise.
+    pub fn bus(self, mem: &Arc<PhysMemory>, mmu: &Arc<Iommu>) -> Bus {
+        match self {
+            EngineKind::NoIommu => Bus::Direct(mem.clone()),
+            _ => Bus::Iommu {
+                mmu: mmu.clone(),
+                mem: mem.clone(),
+            },
+        }
+    }
+
+    /// Builds device `dev`'s DMA path for `cfg` over `mem`: the IOMMU
+    /// (with per-core invalidation batching under `cfg.percore`), the
+    /// engine and the device's bus, all reporting into `obs`.
+    ///
+    /// This is the one place a configuration picks its engine, allocator
+    /// and pool: [`SimStack`], the model checker's rig and the attack rigs
+    /// all build through it. The engine comes back unwrapped and the bus
+    /// unobserved, so each caller adds its own tracing and sanitizer.
+    pub fn build(
+        self,
+        cfg: &ExpConfig,
+        mem: &Arc<PhysMemory>,
+        obs: &Obs,
+        dev: DeviceId,
+    ) -> DmaPath {
+        let cores = cfg.cores.max(1);
+        let mmu = Arc::new(if cfg.percore {
+            Iommu::with_obs_batched(obs.clone(), cores, PERCORE_INVALQ_BATCH)
+        } else {
+            Iommu::with_obs(obs.clone())
+        });
+        let (m, u) = (mem.clone(), mmu.clone());
+        let engine: Box<dyn DmaEngine> = match self {
+            EngineKind::NoIommu => Box::new(NoIommu::new(m, dev)),
+            EngineKind::Copy => {
+                let mut pool_cfg = cfg.pool_config.clone().unwrap_or_default();
+                // Widen the IOVA core field when the sweep exceeds the
+                // paper's 7-bit layout (a no-op at ≤128 cores, so default
+                // runs keep byte-identical IOVAs).
+                pool_cfg.codec = pool_cfg.codec.with_min_cores(cores);
+                if cfg.percore && pool_cfg.magazines.is_none() {
+                    pool_cfg.magazines = Some(shadow_core::MagazineConfig::default());
+                }
+                let shadow = ShadowDma::new(m, u, dev, pool_cfg);
+                if cfg.use_copy_hint {
+                    // The prototype's hint: the wire length sits in the
+                    // packet's first two (untrusted) bytes.
+                    shadow.set_copy_hint(Arc::new(|data: &[u8]| {
+                        if data.len() < 2 {
+                            return data.len();
+                        }
+                        u16::from_be_bytes([data[0], data[1]]) as usize
+                    }));
+                }
+                Box::new(shadow)
+            }
+            EngineKind::IdentityPlus => Box::new(IdentityDma::strict(m, u, dev)),
+            EngineKind::IdentityMinus => Box::new(IdentityDma::deferred(m, u, dev, cores)),
+            EngineKind::LinuxStrict if cfg.percore => {
+                Box::new(LinuxDma::percore_strict(m, u, dev, cores))
+            }
+            EngineKind::LinuxStrict => Box::new(LinuxDma::strict(m, u, dev)),
+            EngineKind::LinuxDefer if cfg.percore => {
+                Box::new(LinuxDma::percore_deferred(m, u, dev, cores))
+            }
+            EngineKind::LinuxDefer => Box::new(LinuxDma::deferred(m, u, dev)),
+            EngineKind::EiovarStrict => Box::new(LinuxDma::eiovar_strict(m, u, dev)),
+            EngineKind::EiovarDefer => Box::new(LinuxDma::eiovar_deferred(m, u, dev)),
+            EngineKind::SelfInvalHw => Box::new(SelfInvalidatingDma::new(m, u, dev)),
+        };
+        DmaPath {
+            bus: self.bus(mem, &mmu),
+            mmu,
+            engine,
+        }
+    }
 }
 
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// One device's DMA path as [`EngineKind::build`] assembles it.
+pub struct DmaPath {
+    /// The IOMMU (present even for `no iommu`, which bypasses it).
+    pub mmu: Arc<Iommu>,
+    /// The protection engine, not yet wrapped in [`TracedDma`].
+    pub engine: Box<dyn DmaEngine>,
+    /// The device's path to memory, not yet observed by a sanitizer.
+    pub bus: Bus,
 }
 
 /// Experiment parameters (defaults follow the paper's setup).
@@ -125,10 +242,11 @@ pub struct ExpConfig {
     /// Shard hot allocation state per core: per-core shadow-pool magazines
     /// for the copy engine, the magazine-backed per-core IOVA allocator for
     /// the stock-Linux engines, and per-core invalidation batching in the
-    /// IOMMU's queue. Engine names and protection profiles are unchanged so
-    /// scaling curves compare like for like; batched invalidation keeps the
-    /// §2.2.1 deferred-window semantics (entries invalidate at batch
-    /// boundaries, not per unmap).
+    /// IOMMU's queue. Engine names are unchanged so scaling curves compare
+    /// like for like; batched invalidation keeps the §2.2.1 deferred-window
+    /// semantics (entries invalidate at batch boundaries, not per unmap),
+    /// so the strict identity, Linux and EiovaR engines report that window
+    /// in their protection profiles.
     pub percore: bool,
 }
 
@@ -280,77 +398,8 @@ impl SimStack {
             )
         };
         let mem = Arc::new(PhysMemory::new(topo));
-        let mmu = if cfg.percore {
-            Arc::new(Iommu::with_obs_batched(
-                obs.clone(),
-                cores,
-                PERCORE_INVALQ_BATCH,
-            ))
-        } else {
-            Arc::new(Iommu::with_obs(obs.clone()))
-        };
+        let DmaPath { mmu, engine, bus } = kind.build(cfg, &mem, &obs, NIC_DEV);
         let cost = Arc::new(cfg.cost.clone());
-        let engine: Box<dyn DmaEngine> = match kind {
-            EngineKind::NoIommu => Box::new(NoIommu::new(mem.clone(), NIC_DEV)),
-            EngineKind::Copy => {
-                let mut pool_cfg = cfg.pool_config.clone().unwrap_or_default();
-                // Widen the IOVA core field when the sweep exceeds the
-                // paper's 7-bit layout (a no-op at ≤128 cores, so default
-                // runs keep byte-identical IOVAs).
-                pool_cfg.codec = pool_cfg.codec.with_min_cores(cores);
-                if cfg.percore && pool_cfg.magazines.is_none() {
-                    pool_cfg.magazines = Some(shadow_core::MagazineConfig::default());
-                }
-                let shadow = ShadowDma::new(mem.clone(), mmu.clone(), NIC_DEV, pool_cfg);
-                if cfg.use_copy_hint {
-                    // The prototype's hint: the wire length sits in the
-                    // packet's first two (untrusted) bytes.
-                    shadow.set_copy_hint(std::sync::Arc::new(|data: &[u8]| {
-                        if data.len() < 2 {
-                            return data.len();
-                        }
-                        u16::from_be_bytes([data[0], data[1]]) as usize
-                    }));
-                }
-                Box::new(shadow)
-            }
-            EngineKind::IdentityPlus => {
-                Box::new(IdentityDma::strict(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::IdentityMinus => Box::new(IdentityDma::deferred(
-                mem.clone(),
-                mmu.clone(),
-                NIC_DEV,
-                cores,
-            )),
-            EngineKind::LinuxStrict if cfg.percore => Box::new(LinuxDma::percore_strict(
-                mem.clone(),
-                mmu.clone(),
-                NIC_DEV,
-                cores,
-            )),
-            EngineKind::LinuxStrict => {
-                Box::new(LinuxDma::strict(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::LinuxDefer if cfg.percore => Box::new(LinuxDma::percore_deferred(
-                mem.clone(),
-                mmu.clone(),
-                NIC_DEV,
-                cores,
-            )),
-            EngineKind::LinuxDefer => {
-                Box::new(LinuxDma::deferred(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::EiovarStrict => {
-                Box::new(LinuxDma::eiovar_strict(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::EiovarDefer => {
-                Box::new(LinuxDma::eiovar_deferred(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-            EngineKind::SelfInvalHw => {
-                Box::new(SelfInvalidatingDma::new(mem.clone(), mmu.clone(), NIC_DEV))
-            }
-        };
         // Wrap the engine so every dma_map/dma_unmap is counted and traced
         // (unmap-induced invalidations chain to their DmaUnmap event) and
         // audited by the sanitizer; the bus is observed so the sanitizer
@@ -362,14 +411,7 @@ impl SimStack {
             obs.clone(),
             san.clone() as Arc<dyn DmaObserver>,
         ));
-        let bus = match kind {
-            EngineKind::NoIommu => Bus::Direct(mem.clone()),
-            _ => Bus::Iommu {
-                mmu: mmu.clone(),
-                mem: mem.clone(),
-            },
-        }
-        .observed(san.clone() as Arc<dyn BusObserver>);
+        let bus = bus.observed(san.clone() as Arc<dyn BusObserver>);
         let mut nic = Nic::new(NIC_DEV, bus, NicConfig::default());
         // Ring setup happens on core 0 at time zero; its costs are not part
         // of any measurement.
@@ -485,10 +527,45 @@ mod tests {
 
     #[test]
     fn stack_builds_for_every_engine() {
-        for kind in EngineKind::ALL {
-            let cfg = ExpConfig::quick();
-            let stack = SimStack::new(kind, &cfg);
-            assert_eq!(stack.engine.name(), kind.name());
+        // Every configuration the builder can produce: each engine, the
+        // self-invalidating ablation included, with and without per-core
+        // state.
+        let payload: Vec<u8> = (0..1500).map(|i| (i % 256) as u8).collect();
+        for kind in EngineKind::EVERY {
+            for percore in [false, true] {
+                let what = format!("{kind} percore={percore}");
+                let cfg = ExpConfig {
+                    percore,
+                    ..ExpConfig::quick()
+                };
+                let mem = Arc::new(PhysMemory::new(NumaTopology::tiny(16)));
+                let path = kind.build(&cfg, &mem, &Obs::isolated(), NIC_DEV);
+                assert_eq!(
+                    matches!(path.bus, Bus::Direct(_)),
+                    kind == EngineKind::NoIommu,
+                    "{what}"
+                );
+                assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
+
+                let mut stack = SimStack::new(kind, &cfg);
+                assert_eq!(stack.engine.name(), kind.name(), "{what}");
+                assert_eq!(stack.mmu.invalq().batching(), percore, "{what}");
+                let strict_zero_copy = matches!(
+                    kind,
+                    EngineKind::IdentityPlus | EngineKind::LinuxStrict | EngineKind::EiovarStrict
+                );
+                let window_free = if strict_zero_copy {
+                    !percore
+                } else {
+                    !kind.is_deferred() && kind != EngineKind::NoIommu
+                };
+                assert_eq!(
+                    stack.engine.profile().no_vulnerability_window,
+                    window_free,
+                    "{what}"
+                );
+                assert_eq!(stack.loopback_rx(&payload), payload, "{what}");
+            }
         }
     }
 
@@ -504,17 +581,6 @@ mod tests {
             stack.teardown(&mut ctx);
             assert_eq!(stack.san.check_teardown(), 0, "engine {kind} leaks");
             assert_eq!(stack.san.violation_count(), 0, "engine {kind} violations");
-        }
-    }
-
-    #[test]
-    fn loopback_roundtrip_every_engine() {
-        for kind in EngineKind::ALL {
-            let cfg = ExpConfig::quick();
-            let mut stack = SimStack::new(kind, &cfg);
-            let payload: Vec<u8> = (0..1500).map(|i| (i % 256) as u8).collect();
-            let out = stack.loopback_rx(&payload);
-            assert_eq!(out, payload, "engine {kind}");
         }
     }
 

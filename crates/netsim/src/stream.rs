@@ -206,12 +206,7 @@ fn collect(
         items += m.items;
     }
     let cpu = sim.ctxs().iter().map(|c| c.utilization()).sum::<f64>() / sim.n_cores() as f64;
-    // Publish the cores' accumulated phase breakdown to the registry, then
-    // report from the registry — it is the single source of truth.
-    let total: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum::<Breakdown>();
-    let dev = Some(crate::setup::NIC_DEV.0);
-    obs::breakdown::record_breakdown(stack.obs.registry(), dev, &total);
-    let per_item = obs::breakdown::breakdown_view(stack.obs.registry(), dev);
+    let phases: Breakdown = sim.ctxs().iter().map(|c| c.breakdown).sum();
     ExpResult {
         engine,
         cores: cfg.cores,
@@ -220,7 +215,8 @@ fn collect(
         cpu,
         items,
         bytes,
-        per_item: per_item.per_item(items),
+        per_item: phases.per_item(items),
+        phases,
         clock_ghz: clock,
         latency_us: None,
         transactions_per_sec: None,
@@ -313,6 +309,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Obs;
 
     fn quick(cores: usize, msg: usize) -> ExpConfig {
         ExpConfig {
@@ -345,6 +342,31 @@ mod tests {
         assert!(rel > 0.65 && rel < 0.95, "copy/noiommu = {rel}");
         let vs_idp = copy.gbps / idp.gbps;
         assert!(vs_idp > 1.5, "copy/identity+ = {vs_idp}");
+    }
+
+    #[test]
+    fn stacks_sharing_an_obs_report_their_own_phases() {
+        // A stack built onto an `Obs` that an earlier run already reported
+        // into must account only its own cycles.
+        let cfg = ExpConfig {
+            cores: 2,
+            msg_size: 1500,
+            items_per_core: 300,
+            ..ExpConfig::quick()
+        };
+        let alone = tcp_stream_rx(EngineKind::IdentityPlus, &cfg);
+        let obs = Obs::isolated();
+        let copy = tcp_stream_rx_on(
+            &SimStack::with_obs(EngineKind::Copy, &cfg, obs.clone()),
+            &cfg,
+        );
+        let after = tcp_stream_rx_on(
+            &SimStack::with_obs(EngineKind::IdentityPlus, &cfg, obs),
+            &cfg,
+        );
+        assert!(copy.phases.total() > Cycles::ZERO);
+        assert_eq!(after.per_item, alone.per_item);
+        assert_eq!(after.phases, alone.phases);
     }
 
     #[test]

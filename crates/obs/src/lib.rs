@@ -14,8 +14,6 @@
 //!   cause-chain spans.
 //! - [`sink`] — a pretty-table text reporter and a JSON-lines exporter
 //!   (`BENCH_*.json` trajectory format) with a lossless importer.
-//! - [`breakdown`] — bridges [`simcore::Breakdown`] phase accounting onto
-//!   the registry.
 //! - [`profile`] — a hierarchical virtual-time profiler: nested scopes
 //!   accumulate per-phase cycles into call trees keyed
 //!   `engine × core × device`, with flamegraph and Chrome trace-event
@@ -37,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breakdown;
 pub mod flight;
 pub mod json;
 pub mod metrics;
@@ -288,34 +285,6 @@ mod tests {
         assert_eq!(b.registry().snapshot().counter("x", "y", None), Some(1));
         assert!(a.same_as(&b));
         assert!(!a.same_as(&Obs::isolated()));
-    }
-
-    #[test]
-    fn cached_handles_survive_registry_adoption() {
-        // The hot-path pattern: components resolve handles once at
-        // construction, then a stack re-homes them onto a shared registry
-        // via adopt_*. The cached handle must keep feeding the shared view.
-        let private = Obs::isolated();
-        let cached_ctr = private.counter("pool", "acquires", Some(0));
-        let cached_gauge = private.gauge("pool", "in_flight", Some(0));
-        cached_ctr.add(3);
-        cached_gauge.add(2);
-
-        let shared = Obs::isolated();
-        shared
-            .registry()
-            .adopt_counter(MetricKey::new("pool", "acquires", Some(0)), &cached_ctr);
-        shared
-            .registry()
-            .adopt_gauge(MetricKey::new("pool", "in_flight", Some(0)), &cached_gauge);
-
-        // Updates through the ORIGINAL cached handles land in the shared
-        // registry — no re-resolution on the hot path.
-        cached_ctr.inc();
-        cached_gauge.set_max(9);
-        let snap = shared.registry().snapshot();
-        assert_eq!(snap.counter("pool", "acquires", Some(0)), Some(4));
-        assert_eq!(snap.gauge("pool", "in_flight", Some(0)), Some(9));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   engines, the IOMMU invalidation queue, the shadow pool, the driver.
 //!   With no root open on the thread (unit tests, teardown, deferred
 //!   flushes) a `scope` is a pass-through, which is exactly what keeps
-//!   the profile tree byte-identical to the registry's published
+//!   the profile tree byte-identical to the workloads' reported
 //!   breakdown: both see only what runs under a measured task.
 //! - [`note_reset`] re-bases every open scope after a warm-up
 //!   [`CoreCtx::reset_stats`] and clears the task's tree, so
@@ -34,7 +34,6 @@
 //! wall-clock time, and a disabled profiler costs one relaxed load per
 //! root scope (nested scopes only check thread-local state).
 
-use crate::breakdown::phase_slug;
 use crate::json::Json;
 use crate::Obs;
 use simcore::sync::Mutex;
@@ -245,11 +244,6 @@ impl Profiler {
     /// only between runs: turning it off mid-span loses end entries.
     pub fn set_span_log(&self, on: bool) {
         self.spans_enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// True when the span log is recording.
-    pub fn span_log(&self) -> bool {
-        self.spans_enabled.load(Ordering::Relaxed)
     }
 
     /// Caps retained span-log entries. When the cap is hit, further span
@@ -494,7 +488,7 @@ pub fn scope<R>(ctx: &mut CoreCtx, label: &'static str, f: impl FnOnce(&mut Core
 /// and clears this task's collected tree.
 ///
 /// Call immediately after `reset_stats()` inside the measured task so
-/// the steady-state tree matches the registry's published breakdown
+/// the steady-state tree matches the workload's reported breakdown
 /// byte for byte. No-op when no root scope is open.
 pub fn note_reset(ctx: &CoreCtx) {
     TASK.with(|t| {
@@ -545,15 +539,6 @@ impl ProfileNode {
     /// Total cycles (self + descendants) summed over all phases.
     pub fn total(&self) -> u64 {
         self.total_cycles().iter().sum()
-    }
-
-    /// This node's self cycles as a [`Breakdown`].
-    pub fn self_breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::new();
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            b.record(*p, Cycles(self.self_cycles[i]));
-        }
-        b
     }
 
     /// Child with the given label, if present.
@@ -619,9 +604,8 @@ impl ProfileSnapshot {
     /// device matches, as a [`Breakdown`].
     ///
     /// When root scopes wrap whole task steps this is byte-identical to
-    /// the breakdown the experiment publishes into the registry (the
-    /// Figure 5 bars) — the acceptance invariant `profile_report`
-    /// asserts.
+    /// the phase breakdown the experiments report (the Figure 5 bars) —
+    /// the acceptance invariant `profile_report` asserts.
     pub fn breakdown_cut(&self, device: Option<u16>) -> Breakdown {
         let mut b = Breakdown::new();
         for r in &self.roots {
@@ -900,7 +884,7 @@ fn flame_walk(agg: &mut BTreeMap<String, u64>, prefix: &str, n: &ProfileNode) {
     let path = format!("{prefix};{}", n.label);
     for (i, p) in Phase::ALL.iter().enumerate() {
         if n.self_cycles[i] > 0 {
-            *agg.entry(format!("{path};{}", phase_slug(*p))).or_insert(0) += n.self_cycles[i];
+            *agg.entry(format!("{path};{}", p.slug())).or_insert(0) += n.self_cycles[i];
         }
     }
     for c in &n.children {

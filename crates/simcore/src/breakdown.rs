@@ -54,6 +54,20 @@ impl Phase {
         }
     }
 
+    /// Identifier-safe form of [`Phase::label`] (profile frame names).
+    pub fn slug(self) -> &'static str {
+        match self {
+            Phase::CopyMgmt => "copy_mgmt",
+            Phase::Spinlock => "spinlock",
+            Phase::InvalidateIotlb => "invalidate_iotlb",
+            Phase::IommuPageTableMgmt => "iommu_page_table_mgmt",
+            Phase::Memcpy => "memcpy",
+            Phase::RxParsing => "rx_parsing",
+            Phase::CopyUser => "copy_user",
+            Phase::Other => "other",
+        }
+    }
+
     fn index(self) -> usize {
         match self {
             Phase::CopyMgmt => 0,
@@ -166,6 +180,14 @@ mod tests {
         assert_eq!(b.get(Phase::Other), Cycles(25));
         assert_eq!(b.get(Phase::Spinlock), Cycles::ZERO);
         assert_eq!(b.total(), Cycles(175));
+    }
+
+    #[test]
+    fn slugs_unique() {
+        let mut slugs: Vec<_> = Phase::ALL.iter().map(|p| p.slug()).collect();
+        slugs.sort_unstable();
+        slugs.dedup();
+        assert_eq!(slugs.len(), Phase::ALL.len());
     }
 
     #[test]

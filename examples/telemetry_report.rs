@@ -1,8 +1,8 @@
 //! Telemetry walk-through: runs netperf-style workloads with the whole
 //! stack reporting into one shared [`obs::Obs`] handle, then emits
 //!
-//! 1. the paper's Figure 5 per-phase packet-time breakdown, reconstructed
-//!    from the live registry (all 8 phase categories),
+//! 1. the paper's Figure 5 per-phase packet-time breakdown, summed over
+//!    both runs (all 8 phase categories),
 //! 2. the metric table (`subsystem.name{device}` rows), and
 //! 3. a JSON-lines trajectory file (`BENCH_*.json` schema) in which every
 //!    `DmaMap` has a matching `DmaUnmap` and every blocked probe from a
@@ -10,7 +10,7 @@
 //!    properties are re-verified here by parsing the file back, and
 //! 4. the virtual-time profile tree (the Figure 5 breakdown refined into
 //!    per-scope self/total time), whose depth-1 cut must agree with the
-//!    registry breakdown cycle-for-cycle.
+//!    runs' breakdown cycle-for-cycle.
 //!
 //! Run with: `cargo run --release --example telemetry_report`
 
@@ -23,7 +23,7 @@ use dma_shadowing::netsim::{
 use dma_shadowing::obs::json::Json;
 use dma_shadowing::obs::sink::{event_from_json, export_jsonl, parse_jsonl, render_table};
 use dma_shadowing::obs::trace::EventKind;
-use dma_shadowing::obs::{breakdown, Obs};
+use dma_shadowing::obs::Obs;
 use dma_shadowing::simcore::Phase;
 use std::collections::HashMap;
 
@@ -103,8 +103,8 @@ fn main() {
     }
     println!("dmasan: teardown clean on both stacks (0 leaks, 0 violations)");
 
-    // ---- (1) Figure 5: per-phase breakdown from the registry ----
-    let merged = breakdown::breakdown_view(obs.registry(), Some(NIC_DEV.0));
+    // ---- (1) Figure 5: per-phase breakdown over both runs ----
+    let merged = copy_result.phases + idp_result.phases;
     let total = merged.total();
     println!("\n=== Figure 5 phase breakdown (copy + identity+, cycles) ===");
     for p in Phase::ALL {
@@ -204,16 +204,16 @@ fn main() {
     assert!(!prof.is_empty(), "the profiler was enabled for both runs");
     println!("\n=== profile tree (virtual time) ===");
     print!("{}", prof.render(cfg.cost.clock_ghz));
-    // The depth-1 cut of the tree IS the registry breakdown: same cycles,
+    // The depth-1 cut of the tree IS the runs' breakdown: same cycles,
     // same phases, just attributed to scopes.
     let cut = prof.breakdown_cut(Some(NIC_DEV.0));
     for p in Phase::ALL {
         assert_eq!(
             cut.get(p),
             merged.get(p),
-            "profile depth-1 cut disagrees with the registry breakdown on '{}'",
+            "profile depth-1 cut disagrees with the runs' breakdown on '{}'",
             p.label()
         );
     }
-    println!("\n  profile depth-1 cut == registry breakdown (all 8 phases)");
+    println!("\n  profile depth-1 cut == runs' breakdown (all 8 phases)");
 }

@@ -6,7 +6,7 @@
 //!
 //! 1. renders each engine's call tree — the Figure 5 per-phase breakdown
 //!    refined into per-scope self/total time — and asserts the tree's
-//!    depth-1 cut is cycle-identical to the registry [`Breakdown`],
+//!    depth-1 cut is cycle-identical to the runs' summed [`Breakdown`],
 //! 2. writes `target/profile_fig1.jsonl` (the profile tree, replayable
 //!    through `--diff`), `target/profile_fig1.collapsed` (flamegraph
 //!    collapsed-stack format, one `engine;scope;...;phase count` line per
@@ -25,7 +25,7 @@ use dma_shadowing::obs::profile::{
 };
 use dma_shadowing::obs::sink::parse_jsonl;
 use dma_shadowing::obs::Obs;
-use dma_shadowing::simcore::Phase;
+use dma_shadowing::simcore::{Breakdown, Phase};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -68,6 +68,7 @@ fn main() -> ExitCode {
         warmup_per_core: 50,
         ..ExpConfig::default()
     };
+    let mut merged = Breakdown::new();
     for kind in EngineKind::ALL {
         println!(
             "running tcp_stream_rx: {} ({} cores, {} B messages)...",
@@ -78,23 +79,23 @@ fn main() -> ExitCode {
         let stack = SimStack::with_obs(kind, &cfg, obs.clone());
         let r = tcp_stream_rx_on(&stack, &cfg);
         println!("  {:>6.2} Gb/s at {:>4.1}% cpu", r.gbps, r.cpu * 100.0);
+        merged += r.phases;
     }
 
     let prof = obs.profiler().snapshot();
     println!("\n{}", prof.render(cfg.cost.clock_ghz));
 
     // Acceptance: the tree's depth-1 cut IS the Figure 5 breakdown.
-    let merged = dma_shadowing::obs::breakdown::breakdown_view(obs.registry(), Some(NIC_DEV.0));
     let cut = prof.breakdown_cut(Some(NIC_DEV.0));
     for p in Phase::ALL {
         assert_eq!(
             cut.get(p),
             merged.get(p),
-            "profile depth-1 cut disagrees with the registry breakdown on '{}'",
+            "profile depth-1 cut disagrees with the runs' breakdown on '{}'",
             p.label()
         );
     }
-    println!("profile depth-1 cut == registry breakdown (all 8 phases)");
+    println!("profile depth-1 cut == runs' breakdown (all 8 phases)");
 
     // Artifacts.
     let target = Path::new("target");

@@ -5,7 +5,7 @@
 //! that drift a failure.
 
 use dma_shadowing::lint::lock_order_analysis;
-use modelcheck::{explore, Config, Strategy};
+use modelcheck::{explore, Config, EngineKind};
 use std::path::Path;
 
 #[test]
@@ -26,15 +26,15 @@ fn static_inventory_covers_model_checker_runtime_locks() {
             "static inventory {names:?} is missing `{percore_lock}`"
         );
     }
-    // Copy exercises the pool locks; linux-deferred exercises the IOVA
+    // Copy exercises the pool locks; defer exercises the IOVA
     // allocator, the deferred flush list, and the invalidation queue. The
     // percore variants add the magazine, pending-ring, and shared-pool
     // locks to the runtime set.
     for (strategy, percore) in [
-        (Strategy::Copy, false),
-        (Strategy::LinuxDeferred, false),
-        (Strategy::Copy, true),
-        (Strategy::LinuxStrict, true),
+        (EngineKind::Copy, false),
+        (EngineKind::LinuxDefer, false),
+        (EngineKind::Copy, true),
+        (EngineKind::LinuxStrict, true),
     ] {
         let mut cfg = Config::new(strategy);
         cfg.known_locks = Some(names.clone());

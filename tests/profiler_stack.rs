@@ -1,7 +1,7 @@
 //! Cross-crate acceptance tests for the virtual-time profiler and the
 //! flight recorder: the whole netsim stack runs with the profiler
 //! enabled, and the resulting tree must agree cycle-for-cycle with the
-//! registry's Figure 5 breakdown; a security event must leave a flight
+//! runs' Figure 5 breakdown; a security event must leave a flight
 //! dump whose every line re-parses.
 
 // lint: allow(ambient-io) — this test reads back the flight recorder's on-disk dump
@@ -10,8 +10,8 @@ use dma_shadowing::netsim::{tcp_stream_rx_on, EngineKind, ExpConfig, SimStack, N
 use dma_shadowing::obs::json::Json;
 use dma_shadowing::obs::profile::{chrome_trace, flamegraph, validate_chrome_trace};
 use dma_shadowing::obs::sink::{event_from_json, parse_jsonl};
-use dma_shadowing::obs::{breakdown, flight, Obs};
-use dma_shadowing::simcore::Phase;
+use dma_shadowing::obs::{flight, Obs};
+use dma_shadowing::simcore::{Breakdown, Phase};
 
 fn quick_cfg() -> ExpConfig {
     ExpConfig {
@@ -32,15 +32,15 @@ fn profile_depth1_cut_is_byte_identical_to_breakdown() {
     let obs = Obs::with_trace_capacity(1 << 14);
     obs.profiler().set_enabled(true);
     let cfg = quick_cfg();
+    let mut merged = Breakdown::new();
     for kind in [
         EngineKind::Copy,
         EngineKind::IdentityPlus,
         EngineKind::LinuxDefer,
     ] {
         let stack = SimStack::with_obs(kind, &cfg, obs.clone());
-        tcp_stream_rx_on(&stack, &cfg);
+        merged += tcp_stream_rx_on(&stack, &cfg).phases;
     }
-    let merged = breakdown::breakdown_view(obs.registry(), Some(NIC_DEV.0));
     let cut = obs.profiler().snapshot().breakdown_cut(Some(NIC_DEV.0));
     for p in Phase::ALL {
         assert_eq!(cut.get(p), merged.get(p), "phase '{}'", p.label());
